@@ -57,17 +57,17 @@ const EXPERIMENTS: &[&str] = &[
 /// `"computed"` is `Provenance::Computed`'s manifest label). Tolerant by
 /// construction — the manifest writer is in-tree and emits one entry per
 /// line with a fixed key order, so a light scrape beats a JSON parser
-/// dependency; any shape surprise degrades to 0.0.
-fn simulated_cycles(manifest: &str) -> f64 {
+/// dependency; any shape surprise degrades to 0. Cycle counts are
+/// integers, and summing them as integers keeps an empty sum at `0`
+/// (an empty `f64` sum is `-0.0`, which prints as `-0`).
+fn simulated_cycles(manifest: &str) -> u64 {
     manifest
         .lines()
         .filter(|l| l.contains("\"provenance\": \"computed\""))
         .filter_map(|l| {
             let v = l.split("\"cycles\": ").nth(1)?;
-            let end = v
-                .find(|c: char| c != '.' && !c.is_ascii_digit())
-                .unwrap_or(v.len());
-            v[..end].parse::<f64>().ok()
+            let end = v.find(|c: char| !c.is_ascii_digit()).unwrap_or(v.len());
+            v[..end].parse::<u64>().ok()
         })
         .sum()
 }
@@ -166,8 +166,12 @@ fn main() {
         }
         let cycles = fs::read_to_string(format!("target/experiments/{exp}.json"))
             .map(|m| simulated_cycles(&m))
-            .unwrap_or(0.0);
-        let rate = if *secs > 0.0 { cycles / secs } else { 0.0 };
+            .unwrap_or(0);
+        let rate = if *secs > 0.0 {
+            cycles as f64 / secs
+        } else {
+            0.0
+        };
         bench.push_str(&format!(
             "\n    {{\"name\": \"{exp}\", \"ok\": {ok}, \"wall_s\": {:.3}, \
              \"sim_cycles\": {cycles}, \"cycles_per_sec\": {rate:.0}}}",
@@ -239,7 +243,24 @@ mod tests {
             "\"stats\": {\"ipc\": 1.1, \"cycles\": 36318}},\n",
             "  ]\n",
         );
-        assert_eq!(simulated_cycles(manifest), 517268.0 + 36318.0);
-        assert_eq!(simulated_cycles("not a manifest"), 0.0);
+        assert_eq!(simulated_cycles(manifest), 517268 + 36318);
+        assert_eq!(simulated_cycles("not a manifest"), 0);
+    }
+
+    /// A manifest whose entries are all cache hits sums to a plain `0`,
+    /// never `-0`, in the row `run_all` writes.
+    #[test]
+    fn no_computed_rows_sum_to_zero() {
+        let manifest = concat!(
+            "  \"entries\": [\n",
+            "    {\"key\": \"a\", \"tag\": \"t\", \"workload\": \"w\", ",
+            "\"provenance\": \"cache\", \"wall_ms\": 0.1, ",
+            "\"stats\": {\"ipc\": 0.5, \"cycles\": 99999}},\n",
+            "  ]\n",
+        );
+        let cycles = simulated_cycles(manifest);
+        assert_eq!(cycles, 0);
+        assert_eq!(format!("{cycles}"), "0");
+        assert_eq!(simulated_cycles(""), 0);
     }
 }

@@ -1,14 +1,24 @@
 //! CSR graph-processing workloads (Ligra class: BFS, PageRank, Components,
 //! Radii, Triangle).
 //!
-//! A synthetic power-law graph is materialised in CSR form at construction
-//! time; kernels then walk it the way Ligra's push-style operators do:
+//! A synthetic power-law graph in CSR form is built host-side on first
+//! touch: vertices are synthesised in id order, each one only when a
+//! kernel first reads it, so a window that visits a few hundred vertices
+//! pays for a few hundred, not the whole graph. The graph is the same
+//! either way (see [`CsrGraph`]). Kernels walk it the way Ligra's
+//! push-style operators do:
 //!
 //! * the *offsets* array is read with unit stride (prefetchable),
 //! * the *edge* array is streamed per-vertex (short bursts, prefetchable),
 //! * the *per-vertex data* array (`rank`, `visited`, `comp`) is gathered at
 //!   random neighbour indices — the irregular, off-chip-heavy load that
 //!   prefetchers miss and POPET learns to flag by PC.
+//!
+//! PageRank and Components sweep vertices in order, so they build only
+//! the prefix they have reached. BFS (and Radii) pops neighbours and
+//! Triangle intersects with higher-id neighbours; one rare high-id vertex
+//! makes them build everything below it, so in practice they reach almost
+//! the whole graph early in a run.
 //!
 //! Target skew is quadratic (hubs get most edges), so low-id vertices stay
 //! cache-resident while the long tail misses — reuse behaviour that gives
@@ -50,53 +60,106 @@ impl GraphKernel {
     }
 }
 
-/// Compressed-sparse-row graph materialised host-side.
+/// Compressed-sparse-row graph, built host-side in vertex-id order on
+/// first touch.
+///
+/// Vertex `u`'s adjacency is drawn from one synthesis RNG after those of
+/// vertices `0..u`, so the graph does not depend on the order in which
+/// [`ensure`](Self::ensure) is called: any prefix it builds equals that
+/// prefix of the fully built graph.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
+    vertices: u32,
+    avg_degree: u32,
+    rng: SmallRng,
+    /// `offsets[u]..offsets[u + 1]` spans `u`'s edges, for every built `u`.
     offsets: Vec<u32>,
     edges: Vec<u32>,
 }
 
 impl CsrGraph {
-    /// Synthesises a graph with `vertices` vertices and roughly
-    /// `avg_degree` edges per vertex, with quadratically-skewed targets.
+    /// An unbuilt graph of `vertices` vertices and roughly `avg_degree`
+    /// edges per vertex, with quadratically-skewed targets. No vertex is
+    /// built until [`ensure`](Self::ensure) reaches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vertices < 2` or `avg_degree == 0`.
+    pub fn lazy(vertices: u32, avg_degree: u32, seed: u64) -> Self {
+        assert!(vertices >= 2 && avg_degree >= 1);
+        Self {
+            vertices,
+            avg_degree,
+            rng: SmallRng::seed_from_u64(seed ^ 0x6741_5048),
+            offsets: vec![0],
+            edges: Vec::new(),
+        }
+    }
+
+    /// [`lazy`](Self::lazy) with every vertex built.
     ///
     /// # Panics
     ///
     /// Panics if `vertices < 2` or `avg_degree == 0`.
     pub fn synth(vertices: u32, avg_degree: u32, seed: u64) -> Self {
-        assert!(vertices >= 2 && avg_degree >= 1);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x6741_5048);
-        let mut offsets = Vec::with_capacity(vertices as usize + 1);
-        let mut edges = Vec::new();
-        offsets.push(0u32);
-        for _ in 0..vertices {
-            let r: f64 = rng.gen();
-            let deg = 1 + (r * r * (2 * avg_degree) as f64) as u32;
-            let mut adj: Vec<u32> = (0..deg)
-                .map(|_| {
-                    let t: f64 = rng.gen();
-                    ((t * t * t * vertices as f64) as u32).min(vertices - 1)
-                })
-                .collect();
-            adj.sort_unstable();
-            adj.dedup();
-            edges.extend_from_slice(&adj);
-            offsets.push(edges.len() as u32);
+        let mut g = Self::lazy(vertices, avg_degree, seed);
+        g.ensure(vertices - 1);
+        g
+    }
+
+    /// Builds every vertex up to and including `u` that is not built yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is not a vertex.
+    pub fn ensure(&mut self, u: u32) {
+        assert!(u < self.vertices, "vertex {u} out of range");
+        while self.built() <= u {
+            self.build_next();
         }
-        Self { offsets, edges }
+    }
+
+    /// Appends the next vertex's sorted, deduplicated targets to `edges`.
+    fn build_next(&mut self) {
+        let n = self.vertices;
+        let r: f64 = self.rng.gen();
+        let deg = 1 + (r * r * (2 * self.avg_degree) as f64) as u32;
+        let start = self.edges.len();
+        for _ in 0..deg {
+            let t: f64 = self.rng.gen();
+            self.edges.push(((t * t * t * n as f64) as u32).min(n - 1));
+        }
+        let tail = &mut self.edges[start..];
+        tail.sort_unstable();
+        let mut kept = 1;
+        for i in 1..tail.len() {
+            if tail[i] != tail[kept - 1] {
+                tail[kept] = tail[i];
+                kept += 1;
+            }
+        }
+        self.edges.truncate(start + kept);
+        self.offsets.push(self.edges.len() as u32);
+    }
+
+    /// Number of vertices built so far.
+    fn built(&self) -> u32 {
+        (self.offsets.len() - 1) as u32
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> u32 {
-        (self.offsets.len() - 1) as u32
+        self.vertices
     }
 
-    /// Number of (directed) edges.
+    /// Number of (directed) edges of the vertices built so far: the whole
+    /// graph's count after [`synth`](Self::synth) or once
+    /// [`ensure`](Self::ensure) has reached the last vertex.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
+    /// `u`'s targets; `u` must be built.
     fn adj(&self, u: u32) -> &[u32] {
         &self.edges[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
     }
@@ -124,9 +187,9 @@ pub struct GraphWorkload {
 }
 
 impl GraphWorkload {
-    /// Wraps a synthesised graph with the given kernel.
+    /// Runs `kernel` over a synthetic graph that builds on first touch.
     pub fn new(kernel: GraphKernel, vertices: u32, avg_degree: u32, seed: u64) -> Self {
-        let graph = CsrGraph::synth(vertices, avg_degree, seed);
+        let graph = CsrGraph::lazy(vertices, avg_degree, seed);
         let l = Layout::new();
         let visited = vec![false; vertices as usize];
         Self {
@@ -171,6 +234,7 @@ impl GraphWorkload {
     fn refill_pagerank(&mut self) {
         let u = self.u;
         self.u = (self.u + 1) % self.graph.num_vertices();
+        self.graph.ensure(u);
         let start = self.graph.offsets[u as usize] as usize;
         self.queue.push_back(Instr::load(
             pc(40),
@@ -207,6 +271,7 @@ impl GraphWorkload {
     fn refill_components(&mut self) {
         let u = self.u;
         self.u = (self.u + 1) % self.graph.num_vertices();
+        self.graph.ensure(u);
         let start = self.graph.offsets[u as usize] as usize;
         self.queue.push_back(Instr::load(
             pc(60),
@@ -220,8 +285,8 @@ impl GraphWorkload {
             Some(5),
             [Some(2), None],
         ));
-        let adj: Vec<u32> = self.graph.adj(u).iter().take(32).copied().collect();
-        for (k, &t) in adj.iter().enumerate() {
+        let adj = self.graph.adj(u);
+        for (k, &t) in adj.iter().take(32).enumerate() {
             self.queue.push_back(Instr::load(
                 pc(62),
                 VirtAddr::new(self.edge_addr(start + k)),
@@ -263,15 +328,16 @@ impl GraphWorkload {
             self.visited[s as usize] = true;
         }
         let u = self.frontier.pop_front().expect("frontier refilled above");
+        self.graph.ensure(u);
         let start = self.graph.offsets[u as usize] as usize;
-        let adj: Vec<u32> = self.graph.adj(u).iter().take(32).copied().collect();
+        let adj = self.graph.adj(u);
         self.queue.push_back(Instr::load(
             pc(50),
             VirtAddr::new(self.off_addr(u)),
             Some(2),
             [Some(1), None],
         ));
-        for (k, &t) in adj.iter().enumerate() {
+        for (k, &t) in adj.iter().take(32).enumerate() {
             self.queue.push_back(Instr::load(
                 pc(51),
                 VirtAddr::new(self.edge_addr(start + k)),
@@ -303,11 +369,22 @@ impl GraphWorkload {
     fn refill_triangle(&mut self) {
         let u = self.u;
         self.u = (self.u + 1) % self.graph.num_vertices();
+        self.graph.ensure(u);
+        // Targets are sorted (and never empty), so building up to the last
+        // of the first 8 builds every higher-id neighbour the walk below
+        // intersects with.
+        let k = self.graph.adj(u).len().min(8);
+        self.graph.ensure(self.graph.adj(u)[k - 1].max(u));
         let start_u = self.graph.offsets[u as usize] as usize;
-        let adj_u: Vec<u32> = self.graph.adj(u).iter().take(8).copied().collect();
-        // Pre-compute intersection walk host-side, then emit its loads.
-        let mut steps: Vec<(usize, usize)> = Vec::new();
-        for (k, &v) in adj_u.iter().enumerate() {
+        let adj_u = &self.graph.adj(u)[..k];
+        self.queue.push_back(Instr::load(
+            pc(70),
+            VirtAddr::new(self.off_addr(u)),
+            Some(2),
+            [Some(1), None],
+        ));
+        // Emit the intersection walk's loads as it runs host-side.
+        for &v in adj_u {
             if v <= u {
                 continue;
             }
@@ -316,7 +393,21 @@ impl GraphWorkload {
             let (mut i, mut j) = (0usize, 0usize);
             let mut guard = 0;
             while i < adj_u.len() && j < adj_v.len().min(16) && guard < 24 {
-                steps.push((start_u + i, start_v + j));
+                let (ei, ej) = (start_u + i, start_v + j);
+                self.queue.push_back(Instr::load(
+                    pc(71),
+                    VirtAddr::new(self.edge_addr(ei)),
+                    Some(3),
+                    [Some(2), None],
+                ));
+                self.queue.push_back(Instr::load(
+                    pc(72),
+                    VirtAddr::new(self.edge_addr(ej)),
+                    Some(4),
+                    [Some(2), None],
+                ));
+                self.queue
+                    .push_back(Instr::branch(pc(73), (ei ^ ej) & 1 == 0, Some(4)));
                 if adj_u[i] < adj_v[j] {
                     i += 1;
                 } else {
@@ -324,29 +415,6 @@ impl GraphWorkload {
                 }
                 guard += 1;
             }
-            let _ = k;
-        }
-        self.queue.push_back(Instr::load(
-            pc(70),
-            VirtAddr::new(self.off_addr(u)),
-            Some(2),
-            [Some(1), None],
-        ));
-        for (ei, ej) in steps {
-            self.queue.push_back(Instr::load(
-                pc(71),
-                VirtAddr::new(self.edge_addr(ei)),
-                Some(3),
-                [Some(2), None],
-            ));
-            self.queue.push_back(Instr::load(
-                pc(72),
-                VirtAddr::new(self.edge_addr(ej)),
-                Some(4),
-                [Some(2), None],
-            ));
-            self.queue
-                .push_back(Instr::branch(pc(73), (ei ^ ej) & 1 == 0, Some(4)));
         }
         self.queue.push_back(Instr::branch(pc(74), true, None));
     }
@@ -397,6 +465,51 @@ mod tests {
             low,
             g.num_edges()
         );
+    }
+
+    #[test]
+    fn first_touch_matches_eager_graph() {
+        for (n, d, seed) in [(2, 1, 0), (97, 3, 7), (1000, 8, 1), (5000, 12, 44)] {
+            let eager = CsrGraph::synth(n, d, seed);
+            assert_eq!(eager.built(), n);
+            let orders: [Vec<u32>; 3] = [
+                (0..n).step_by(7).collect(),
+                (0..n).rev().step_by(5).collect(),
+                vec![n / 3, n / 3, 0, n / 3, n - 1, n / 2, n - 1],
+            ];
+            for order in orders {
+                let mut g = CsrGraph::lazy(n, d, seed);
+                let mut reached = 0;
+                for u in order {
+                    g.ensure(u);
+                    reached = reached.max(u + 1);
+                    assert_eq!(g.built(), reached, "({n}, {d}, {seed}) ensure({u})");
+                    let k = reached as usize;
+                    assert_eq!(g.offsets[..=k], eager.offsets[..=k]);
+                    assert_eq!(g.edges[..], eager.edges[..eager.offsets[k] as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workloads_start_unbuilt() {
+        let kernels = [
+            GraphKernel::Bfs,
+            GraphKernel::PageRank,
+            GraphKernel::Components,
+            GraphKernel::Triangle,
+        ];
+        for k in kernels {
+            assert_eq!(GraphWorkload::new(k, 100_000, 8, 1).graph.built(), 0);
+        }
+        assert_eq!(GraphWorkload::new_radii(100_000, 8, 1).graph.built(), 0);
+        // An in-order sweep builds only the prefix it has reached.
+        let mut w = GraphWorkload::new(GraphKernel::PageRank, 100_000, 8, 1);
+        for _ in 0..1000 {
+            let _ = w.next_instr();
+        }
+        assert_eq!(w.graph.built(), w.u);
     }
 
     #[test]
