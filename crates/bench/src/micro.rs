@@ -1,8 +1,6 @@
 //! Fixed-iteration microbenchmarks of the simulator's per-cycle hot
 //! paths, cheap enough to run inside `run_all` so their results ride the
-//! tracked `BENCH_<n>.json` perf trajectory (the criterion benches in
-//! `benches/` measure the same kernels with a proper harness, but CI
-//! never archived their output — these numbers live in git history).
+//! tracked `BENCH_<n>.json` perf trajectory and live in git history.
 //!
 //! Methodology: each kernel runs a fixed iteration count around
 //! `std::time::Instant` with an untimed warmup pass. That is deliberately

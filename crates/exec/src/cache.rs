@@ -5,7 +5,7 @@
 //! format. The schema version is part of the path, so results cached by
 //! an older simulator or record layout are invisible (a miss) rather than
 //! silently reused — bump [`CACHE_SCHEMA_VERSION`] whenever a change
-//! alters simulation results or the record format.
+//! alters simulation results or what a record field means.
 //!
 //! Concurrency: multiple threads *and* multiple processes (e.g. `run_all`
 //! children) may share one cache directory. A sidecar `<key>.lock` file
@@ -46,7 +46,15 @@ use crate::Provenance;
 /// queue-delay and latency-quantile fields); v8 adds the out-of-order
 /// core model (`CoreConfig` grew the `model` field, entering every
 /// fingerprint, and `RunLite` grew the ROB-occupancy / RS-LSQ-stall /
-/// forwarding / flush fields).
+/// forwarding / flush fields); v9 adds the event-driven scheduler
+/// (`SystemConfig` grew the `scheduler` and `pf_bandwidth_guard` fields,
+/// entering every fingerprint).
+///
+/// A change to the set of `RunLite` fields needs no bump of its own:
+/// adding, removing or renaming a row of the record's stats table makes
+/// every older entry fail to parse (an unknown or a missing key is a
+/// corrupt entry), so it degrades to a miss. Bump only when a stat keeps
+/// its name but changes meaning, or when simulation results move.
 pub const CACHE_SCHEMA_VERSION: u32 = 9;
 
 /// How long a lock file may sit untouched before a waiter assumes its

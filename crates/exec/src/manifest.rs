@@ -14,8 +14,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use hermes_probe::escape_json;
+
 use crate::cache::CACHE_SCHEMA_VERSION;
-use crate::record::{RunLite, FIELDS};
+use crate::record::RunLite;
 use crate::{Outcome, Provenance};
 
 /// One cached/simulated point in a manifest.
@@ -89,8 +91,8 @@ impl Manifest {
         let mut s = String::with_capacity(256 + self.entries.len() * 512);
         s.push_str("{\n");
         s.push_str(&format!(
-            "  \"experiment\": {},\n",
-            json_str(&self.experiment)
+            "  \"experiment\": \"{}\",\n",
+            escape_json(&self.experiment)
         ));
         s.push_str(&format!("  \"cache_schema\": {CACHE_SCHEMA_VERSION},\n"));
         s.push_str(&format!("  \"jobs\": {},\n", self.jobs));
@@ -118,20 +120,17 @@ impl Manifest {
                 s.push(',');
             }
             s.push_str("\n    {");
-            s.push_str(&format!("\"key\": {}, ", json_str(&e.key)));
-            s.push_str(&format!("\"tag\": {}, ", json_str(&e.tag)));
-            s.push_str(&format!("\"workload\": {}, ", json_str(&e.workload)));
-            s.push_str(&format!(
-                "\"provenance\": {}, ",
-                json_str(e.provenance.label())
-            ));
+            s.push_str(&format!("\"key\": \"{}\", ", escape_json(&e.key)));
+            s.push_str(&format!("\"tag\": \"{}\", ", escape_json(&e.tag)));
+            s.push_str(&format!("\"workload\": \"{}\", ", escape_json(&e.workload)));
+            s.push_str(&format!("\"provenance\": \"{}\", ", e.provenance.label()));
             s.push_str(&format!("\"wall_ms\": {}, ", json_num(ms(e.wall))));
             s.push_str("\"stats\": {");
-            for (j, field) in FIELDS.iter().enumerate() {
+            for (j, (field, v)) in e.stats.fields().enumerate() {
                 if j > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&format!("\"{field}\": {}", json_num(e.stats.get(field))));
+                s.push_str(&format!("\"{field}\": {}", json_num(v)));
             }
             s.push_str("}}");
         }
@@ -180,26 +179,6 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// JSON string with the mandatory escapes. Keys/tags are ASCII in
-/// practice, but escape defensively.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,8 +220,7 @@ mod tests {
         assert!(j.contains("\\\"quote\""));
         assert!(j.contains("\"jobs\": 4"));
         assert!(j.contains("\"ipc\": 1"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert!(hermes_probe::validate_json(&j).is_ok(), "{j}");
     }
 
     #[test]

@@ -7,362 +7,204 @@
 //! is stable, human-inspectable, and cheap to parse. It used to live in
 //! `hermes-bench`; it moved here together with the cache so the engine
 //! can own the full job lifecycle.
+//!
+//! Every stat is declared once, as a row of the `run_lite!` table
+//! below: its doc comment, its name, and how it is read from
+//! [`RunStats`]. The struct, the field order shared by the cache format
+//! and the manifest, the extraction and the parser's lookup are all
+//! generated from that row, so adding a stat is a one-row change.
 
+use hermes_probe::{LatClass, ProbeReport};
+use hermes_sim::stats::CoreRunStats;
 use hermes_sim::RunStats;
 
-/// Flat, cacheable per-run measurement record.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunLite {
+/// Arithmetic mean of a per-core quantity (the core-0 value on a
+/// single-core run).
+fn mean(r: &RunStats, f: impl Fn(&CoreRunStats) -> f64) -> f64 {
+    r.cores.iter().map(f).sum::<f64>() / r.cores.len() as f64
+}
+
+/// A quantity that only probed runs measure; 0 with the probe off (a
+/// probe-off run is told apart from real data by `cycles > 0` together
+/// with a zero `offchip_lat_p50`).
+fn probe_or_0(r: &RunStats, f: impl Fn(&ProbeReport) -> f64) -> f64 {
+    r.probe.as_ref().map(f).unwrap_or(0.0)
+}
+
+/// Generates `RunLite`, `FIELDS` and the per-field accessors from one
+/// table with a row `name: |run| extraction,` per stat, in cache order.
+macro_rules! run_lite {
+    ($($(#[$doc:meta])* $name:ident: |$r:ident| $extract:expr,)*) => {
+        /// Flat, cacheable per-run measurement record.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct RunLite {
+            $($(#[$doc])* pub $name: f64,)*
+        }
+
+        /// Field order used by both the `key=value` cache format and the
+        /// JSON manifest, so the two never drift apart.
+        pub(crate) const FIELDS: &[&str] = &[$(stringify!($name)),*];
+
+        impl RunLite {
+            /// Extracts the record from full run statistics.
+            pub fn from_stats(run: &RunStats) -> Self {
+                Self { $($name: { let $r = run; $extract },)* }
+            }
+
+            /// `(name, value)` for every field, in [`FIELDS`] order.
+            pub(crate) fn fields(&self) -> impl Iterator<Item = (&'static str, f64)> {
+                FIELDS.iter().copied().zip([$(self.$name),*])
+            }
+
+            fn values_mut(&mut self) -> [&mut f64; FIELDS.len()] { [$(&mut self.$name),*] }
+        }
+    };
+}
+
+run_lite! {
     /// Instructions per cycle (core 0 for single-core runs; arithmetic
     /// mean across cores for multi-core runs).
-    pub ipc: f64,
+    ipc: |r| mean(r, |c| c.ipc()),
     /// LLC demand misses per kilo-instruction.
-    pub llc_mpki: f64,
+    llc_mpki: |r| mean(r, |c| c.llc_mpki()),
     /// Fraction of loads served off-chip.
-    pub offchip_rate: f64,
+    offchip_rate: |r| mean(r, |c| c.offchip_rate()),
     /// Off-chip predictor accuracy (Eq. 3).
-    pub accuracy: f64,
+    accuracy: |r| r.pred_total().accuracy(),
     /// Off-chip predictor coverage (Eq. 4).
-    pub coverage: f64,
+    coverage: |r| r.pred_total().coverage(),
     /// Total main-memory requests (reads + writes).
-    pub mm_requests: f64,
+    mm_requests: |r| r.main_memory_requests() as f64,
     /// ROB stall cycles attributed to off-chip loads.
-    pub stall_offchip: f64,
+    stall_offchip: |r| mean(r, |c| c.core.stall_cycles_offchip as f64),
     /// Off-chip loads that blocked retirement.
-    pub blocking: f64,
+    blocking: |r| mean(r, |c| c.core.offchip_blocking as f64),
     /// Off-chip loads that never blocked retirement.
-    pub nonblocking: f64,
+    nonblocking: |r| mean(r, |c| c.core.offchip_nonblocking as f64),
     /// Average stall cycles per off-chip load.
-    pub stalls_per_offchip: f64,
+    stalls_per_offchip: |r| mean(r, |c| c.core.stalls_per_offchip_load()),
     /// Average on-chip (hierarchy) portion of an off-chip load's latency.
-    pub onchip_portion: f64,
+    onchip_portion: |r| mean(r, |c| c.avg_onchip_portion()),
     /// Average total off-chip load latency.
-    pub offchip_latency: f64,
+    offchip_latency: |r| mean(r, |c| c.avg_offchip_latency()),
     /// Dynamic energy total (power model).
-    pub energy: f64,
+    energy: |r| r.power.total(),
     /// Dynamic energy in the DRAM/bus component.
-    pub energy_bus: f64,
+    energy_bus: |r| r.power.bus,
     /// Dynamic energy in L1/L2/LLC.
-    pub energy_caches: f64,
+    energy_caches: |r| r.power.l1 + r.power.l2 + r.power.llc,
     /// Dynamic energy in predictor + prefetcher metadata.
-    pub energy_meta: f64,
+    energy_meta: |r| r.power.predictor + r.power.prefetcher,
     /// dTLB misses per kilo-instruction (zero with `vm: None`).
-    pub dtlb_mpki: f64,
+    dtlb_mpki: |r| mean(r, |c| c.dtlb_mpki()),
     /// STLB misses per kilo-instruction (each starts or joins a walk).
-    pub stlb_mpki: f64,
+    stlb_mpki: |r| mean(r, |c| c.stlb_mpki()),
     /// Average page-walk latency in cycles.
-    pub walk_cycles: f64,
+    walk_cycles: |r| mean(r, |c| c.avg_walk_cycles()),
     /// Coherence write-permission upgrades per core (mean; zero with
     /// `coherence: None`).
-    pub coh_upgrades: f64,
+    coh_upgrades: |r| mean(r, |c| c.hier.coh_upgrades as f64),
     /// Remote copies invalidated by this core's stores (mean per core).
-    pub coh_invalidations: f64,
+    coh_invalidations: |r| mean(r, |c| c.hier.coh_invalidations as f64),
     /// Dirty interventions served to this core (mean per core).
-    pub coh_dirty_forwards: f64,
+    coh_dirty_forwards: |r| mean(r, |c| c.hier.coh_dirty_forwards as f64),
     /// Hermes speculative DRAM reads that paid off (mean per core; zero
     /// with Hermes off or passive).
-    pub spec_reads_useful: f64,
+    spec_reads_useful: |r| mean(r, |c| c.hier.spec_reads_useful as f64),
     /// Hermes speculative DRAM reads wasted on loads that resolved
     /// on-chip (mean per core).
-    pub spec_reads_wasted: f64,
+    spec_reads_wasted: |r| mean(r, |c| c.hier.spec_reads_wasted as f64),
     /// Predictor confusion matrix, aggregated across cores: predicted
     /// off-chip and went off-chip.
-    pub pred_tp: f64,
+    pred_tp: |r| r.pred_total().tp as f64,
     /// Predicted off-chip, served on-chip.
-    pub pred_fp: f64,
+    pred_fp: |r| r.pred_total().fp as f64,
     /// Not predicted, went off-chip.
-    pub pred_fn: f64,
+    pred_fn: |r| r.pred_total().fn_ as f64,
     /// Not predicted, served on-chip.
-    pub pred_tn: f64,
+    pred_tn: |r| r.pred_total().tn as f64,
     /// Mean DRAM read-queue occupancy observed at demand-read enqueue
     /// (always measured, probe on or off — it replaces the old guess
     /// from `wq_occupancy_sum`-style averages with a real histogram).
-    pub rq_occ_mean: f64,
+    rq_occ_mean: |r| r.dram.rq_occupancy_hist.mean_linear(),
     /// 95th-percentile DRAM read-queue occupancy at enqueue.
-    pub rq_occ_p95: f64,
+    rq_occ_p95: |r| r.dram.rq_occupancy_hist.quantile_linear(0.95),
     /// 95th-percentile DRAM write-queue occupancy at enqueue.
-    pub wq_occ_p95: f64,
+    wq_occ_p95: |r| r.dram.wq_occupancy_hist.quantile_linear(0.95),
     /// 95th-percentile DRAM queue delay in cycles (enqueue to service
     /// start; log2-bucketed, reported as the bucket upper bound).
-    pub dram_qdelay_p95: f64,
+    dram_qdelay_p95: |r| r.dram.queue_delay_hist.quantile_log2(0.95),
     /// Median off-chip load latency (probe runs only; 0 with probe off).
-    pub offchip_lat_p50: f64,
+    offchip_lat_p50: |r| probe_or_0(r, |p| p.lat_hist(LatClass::Offchip).quantile_log2(0.5)),
     /// 95th-percentile off-chip load latency (probe runs only).
-    pub offchip_lat_p95: f64,
+    offchip_lat_p95: |r| probe_or_0(r, |p| p.lat_hist(LatClass::Offchip).quantile_log2(0.95)),
     /// 99th-percentile off-chip load latency (probe runs only).
-    pub offchip_lat_p99: f64,
+    offchip_lat_p99: |r| probe_or_0(r, |p| p.lat_hist(LatClass::Offchip).quantile_log2(0.99)),
     /// Median LLC-hit load latency (probe runs only).
-    pub llc_hit_lat_p50: f64,
+    llc_hit_lat_p50: |r| probe_or_0(r, |p| p.lat_hist(LatClass::Llc).quantile_log2(0.5)),
     /// 95th-percentile page-walk latency (probe runs with vm on only).
-    pub walk_lat_p95: f64,
+    walk_lat_p95: |r| probe_or_0(r, |p| p.lat_walk.quantile_log2(0.95)),
     /// Mean ROB occupancy over the measurement window (mean across
     /// cores; zero under the legacy dependency-scheduled model, which
     /// does not sample occupancy).
-    pub rob_occ_mean: f64,
+    rob_occ_mean: |r| mean(r, |c| {
+        if c.cycles == 0 {
+            0.0
+        } else {
+            c.core.rob_occupancy_sum as f64 / c.cycles as f64
+        }
+    }),
     /// Cycles dispatch stalled on a full reservation-station pool (mean
     /// per core; out-of-order model only).
-    pub rs_full_stalls: f64,
+    rs_full_stalls: |r| mean(r, |c| c.core.rs_full_stalls as f64),
     /// Cycles dispatch stalled on a full load/store queue (mean per
     /// core; out-of-order model only).
-    pub lsq_full_stalls: f64,
+    lsq_full_stalls: |r| mean(r, |c| c.core.lsq_full_stalls as f64),
     /// Loads served by store-to-load forwarding (mean per core;
     /// out-of-order model only).
-    pub forwarded_loads: f64,
+    forwarded_loads: |r| mean(r, |c| c.core.forwarded_loads as f64),
     /// Pipeline flushes from branch mispredictions (mean per core;
     /// out-of-order model only).
-    pub flushes: f64,
+    flushes: |r| mean(r, |c| c.core.flushes as f64),
     /// Measured cycles.
-    pub cycles: f64,
+    cycles: |r| r.total_cycles as f64,
 }
 
-/// Field order used by both the `key=value` cache format and the JSON
-/// manifest, so the two never drift apart.
-pub(crate) const FIELDS: [&str; 43] = [
-    "ipc",
-    "llc_mpki",
-    "offchip_rate",
-    "accuracy",
-    "coverage",
-    "mm_requests",
-    "stall_offchip",
-    "blocking",
-    "nonblocking",
-    "stalls_per_offchip",
-    "onchip_portion",
-    "offchip_latency",
-    "energy",
-    "energy_bus",
-    "energy_caches",
-    "energy_meta",
-    "dtlb_mpki",
-    "stlb_mpki",
-    "walk_cycles",
-    "coh_upgrades",
-    "coh_invalidations",
-    "coh_dirty_forwards",
-    "spec_reads_useful",
-    "spec_reads_wasted",
-    "pred_tp",
-    "pred_fp",
-    "pred_fn",
-    "pred_tn",
-    "rq_occ_mean",
-    "rq_occ_p95",
-    "wq_occ_p95",
-    "dram_qdelay_p95",
-    "offchip_lat_p50",
-    "offchip_lat_p95",
-    "offchip_lat_p99",
-    "llc_hit_lat_p50",
-    "walk_lat_p95",
-    "rob_occ_mean",
-    "rs_full_stalls",
-    "lsq_full_stalls",
-    "forwarded_loads",
-    "flushes",
-    "cycles",
-];
+// `from_kv` tracks the fields it has seen in a `u64`.
+const _: () = assert!(FIELDS.len() <= 64);
 
 impl RunLite {
-    /// Extracts the record from full run statistics.
-    pub fn from_stats(r: &RunStats) -> Self {
-        use hermes_probe::LatClass;
-        let n = r.cores.len() as f64;
-        let mean = |f: &dyn Fn(&hermes_sim::stats::CoreRunStats) -> f64| {
-            r.cores.iter().map(f).sum::<f64>() / n
-        };
-        let p = r.pred_total();
-        // Latency quantiles exist only on probed runs; a probe-off run
-        // records zeros (distinguishable from real data by `cycles > 0`
-        // and the zero `offchip_lat_p50` together).
-        let probe_q =
-            |f: &dyn Fn(&hermes_probe::ProbeReport) -> f64| r.probe.as_ref().map(f).unwrap_or(0.0);
-        Self {
-            ipc: mean(&|c| c.ipc()),
-            llc_mpki: mean(&|c| c.llc_mpki()),
-            offchip_rate: mean(&|c| c.offchip_rate()),
-            accuracy: p.accuracy(),
-            coverage: p.coverage(),
-            mm_requests: r.main_memory_requests() as f64,
-            stall_offchip: mean(&|c| c.core.stall_cycles_offchip as f64),
-            blocking: mean(&|c| c.core.offchip_blocking as f64),
-            nonblocking: mean(&|c| c.core.offchip_nonblocking as f64),
-            stalls_per_offchip: mean(&|c| c.core.stalls_per_offchip_load()),
-            onchip_portion: mean(&|c| c.avg_onchip_portion()),
-            offchip_latency: mean(&|c| c.avg_offchip_latency()),
-            energy: r.power.total(),
-            energy_bus: r.power.bus,
-            energy_caches: r.power.l1 + r.power.l2 + r.power.llc,
-            energy_meta: r.power.predictor + r.power.prefetcher,
-            dtlb_mpki: mean(&|c| c.dtlb_mpki()),
-            stlb_mpki: mean(&|c| c.stlb_mpki()),
-            walk_cycles: mean(&|c| c.avg_walk_cycles()),
-            coh_upgrades: mean(&|c| c.hier.coh_upgrades as f64),
-            coh_invalidations: mean(&|c| c.hier.coh_invalidations as f64),
-            coh_dirty_forwards: mean(&|c| c.hier.coh_dirty_forwards as f64),
-            spec_reads_useful: mean(&|c| c.hier.spec_reads_useful as f64),
-            spec_reads_wasted: mean(&|c| c.hier.spec_reads_wasted as f64),
-            pred_tp: p.tp as f64,
-            pred_fp: p.fp as f64,
-            pred_fn: p.fn_ as f64,
-            pred_tn: p.tn as f64,
-            rq_occ_mean: r.dram.rq_occupancy_hist.mean_linear(),
-            rq_occ_p95: r.dram.rq_occupancy_hist.quantile_linear(0.95),
-            wq_occ_p95: r.dram.wq_occupancy_hist.quantile_linear(0.95),
-            dram_qdelay_p95: r.dram.queue_delay_hist.quantile_log2(0.95),
-            offchip_lat_p50: probe_q(&|pr| pr.lat_hist(LatClass::Offchip).quantile_log2(0.5)),
-            offchip_lat_p95: probe_q(&|pr| pr.lat_hist(LatClass::Offchip).quantile_log2(0.95)),
-            offchip_lat_p99: probe_q(&|pr| pr.lat_hist(LatClass::Offchip).quantile_log2(0.99)),
-            llc_hit_lat_p50: probe_q(&|pr| pr.lat_hist(LatClass::Llc).quantile_log2(0.5)),
-            walk_lat_p95: probe_q(&|pr| pr.lat_walk.quantile_log2(0.95)),
-            rob_occ_mean: mean(&|c| {
-                if c.cycles == 0 {
-                    0.0
-                } else {
-                    c.core.rob_occupancy_sum as f64 / c.cycles as f64
-                }
-            }),
-            rs_full_stalls: mean(&|c| c.core.rs_full_stalls as f64),
-            lsq_full_stalls: mean(&|c| c.core.lsq_full_stalls as f64),
-            forwarded_loads: mean(&|c| c.core.forwarded_loads as f64),
-            flushes: mean(&|c| c.core.flushes as f64),
-            cycles: r.total_cycles as f64,
-        }
-    }
-
-    /// Returns the field value by its name in [`FIELDS`].
-    pub(crate) fn get(&self, field: &str) -> f64 {
-        match field {
-            "ipc" => self.ipc,
-            "llc_mpki" => self.llc_mpki,
-            "offchip_rate" => self.offchip_rate,
-            "accuracy" => self.accuracy,
-            "coverage" => self.coverage,
-            "mm_requests" => self.mm_requests,
-            "stall_offchip" => self.stall_offchip,
-            "blocking" => self.blocking,
-            "nonblocking" => self.nonblocking,
-            "stalls_per_offchip" => self.stalls_per_offchip,
-            "onchip_portion" => self.onchip_portion,
-            "offchip_latency" => self.offchip_latency,
-            "energy" => self.energy,
-            "energy_bus" => self.energy_bus,
-            "energy_caches" => self.energy_caches,
-            "energy_meta" => self.energy_meta,
-            "dtlb_mpki" => self.dtlb_mpki,
-            "stlb_mpki" => self.stlb_mpki,
-            "walk_cycles" => self.walk_cycles,
-            "coh_upgrades" => self.coh_upgrades,
-            "coh_invalidations" => self.coh_invalidations,
-            "coh_dirty_forwards" => self.coh_dirty_forwards,
-            "spec_reads_useful" => self.spec_reads_useful,
-            "spec_reads_wasted" => self.spec_reads_wasted,
-            "pred_tp" => self.pred_tp,
-            "pred_fp" => self.pred_fp,
-            "pred_fn" => self.pred_fn,
-            "pred_tn" => self.pred_tn,
-            "rq_occ_mean" => self.rq_occ_mean,
-            "rq_occ_p95" => self.rq_occ_p95,
-            "wq_occ_p95" => self.wq_occ_p95,
-            "dram_qdelay_p95" => self.dram_qdelay_p95,
-            "offchip_lat_p50" => self.offchip_lat_p50,
-            "offchip_lat_p95" => self.offchip_lat_p95,
-            "offchip_lat_p99" => self.offchip_lat_p99,
-            "llc_hit_lat_p50" => self.llc_hit_lat_p50,
-            "walk_lat_p95" => self.walk_lat_p95,
-            "rob_occ_mean" => self.rob_occ_mean,
-            "rs_full_stalls" => self.rs_full_stalls,
-            "lsq_full_stalls" => self.lsq_full_stalls,
-            "forwarded_loads" => self.forwarded_loads,
-            "flushes" => self.flushes,
-            "cycles" => self.cycles,
-            _ => unreachable!("unknown field {field}"),
-        }
-    }
-
-    fn set(&mut self, field: &str, v: f64) -> bool {
-        match field {
-            "ipc" => self.ipc = v,
-            "llc_mpki" => self.llc_mpki = v,
-            "offchip_rate" => self.offchip_rate = v,
-            "accuracy" => self.accuracy = v,
-            "coverage" => self.coverage = v,
-            "mm_requests" => self.mm_requests = v,
-            "stall_offchip" => self.stall_offchip = v,
-            "blocking" => self.blocking = v,
-            "nonblocking" => self.nonblocking = v,
-            "stalls_per_offchip" => self.stalls_per_offchip = v,
-            "onchip_portion" => self.onchip_portion = v,
-            "offchip_latency" => self.offchip_latency = v,
-            "energy" => self.energy = v,
-            "energy_bus" => self.energy_bus = v,
-            "energy_caches" => self.energy_caches = v,
-            "energy_meta" => self.energy_meta = v,
-            "dtlb_mpki" => self.dtlb_mpki = v,
-            "stlb_mpki" => self.stlb_mpki = v,
-            "walk_cycles" => self.walk_cycles = v,
-            "coh_upgrades" => self.coh_upgrades = v,
-            "coh_invalidations" => self.coh_invalidations = v,
-            "coh_dirty_forwards" => self.coh_dirty_forwards = v,
-            "spec_reads_useful" => self.spec_reads_useful = v,
-            "spec_reads_wasted" => self.spec_reads_wasted = v,
-            "pred_tp" => self.pred_tp = v,
-            "pred_fp" => self.pred_fp = v,
-            "pred_fn" => self.pred_fn = v,
-            "pred_tn" => self.pred_tn = v,
-            "rq_occ_mean" => self.rq_occ_mean = v,
-            "rq_occ_p95" => self.rq_occ_p95 = v,
-            "wq_occ_p95" => self.wq_occ_p95 = v,
-            "dram_qdelay_p95" => self.dram_qdelay_p95 = v,
-            "offchip_lat_p50" => self.offchip_lat_p50 = v,
-            "offchip_lat_p95" => self.offchip_lat_p95 = v,
-            "offchip_lat_p99" => self.offchip_lat_p99 = v,
-            "llc_hit_lat_p50" => self.llc_hit_lat_p50 = v,
-            "walk_lat_p95" => self.walk_lat_p95 = v,
-            "rob_occ_mean" => self.rob_occ_mean = v,
-            "rs_full_stalls" => self.rs_full_stalls = v,
-            "lsq_full_stalls" => self.lsq_full_stalls = v,
-            "forwarded_loads" => self.forwarded_loads = v,
-            "flushes" => self.flushes = v,
-            "cycles" => self.cycles = v,
-            _ => return false,
-        }
-        true
-    }
-
     /// Serialises to the line-oriented `key=value` cache format.
     pub fn to_kv(&self) -> String {
         let mut s = String::new();
-        for field in FIELDS {
+        for (field, v) in self.fields() {
             s.push_str(field);
             s.push('=');
-            s.push_str(&self.get(field).to_string());
+            s.push_str(&v.to_string());
             s.push('\n');
         }
         s
     }
 
     /// Parses the `key=value` cache format; `None` on any corruption
-    /// (unknown key, bad number, truncation, zero-cycle record), so a
-    /// damaged cache entry degrades to a miss instead of a panic.
+    /// (unknown, repeated or missing key, bad number, truncation,
+    /// zero-cycle record), so a damaged cache entry degrades to a miss
+    /// instead of a panic.
     pub fn from_kv(s: &str) -> Option<Self> {
         let mut r = RunLite::default();
-        let mut keys = 0;
+        let mut seen = 0u64;
         for line in s.lines() {
             let (k, v) = line.split_once('=')?;
-            let v: f64 = v.parse().ok()?;
-            if !r.set(k, v) {
+            let i = FIELDS.iter().position(|&f| f == k)?;
+            if seen & (1 << i) != 0 {
                 return None;
             }
-            keys += 1;
+            seen |= 1 << i;
+            *r.values_mut()[i] = v.parse().ok()?;
         }
         // A truncated or empty file (e.g. from an interrupted writer) must
         // be treated as a miss, not as an all-zero record.
-        if keys == FIELDS.len() && r.cycles > 0.0 {
-            Some(r)
-        } else {
-            None
-        }
+        (seen.count_ones() as usize == FIELDS.len() && r.cycles > 0.0).then_some(r)
     }
 }
 
@@ -370,82 +212,42 @@ impl RunLite {
 mod tests {
     use super::*;
 
+    /// A record whose every field holds its 1-based index.
+    fn indexed() -> RunLite {
+        let mut r = RunLite::default();
+        for (i, v) in r.values_mut().into_iter().enumerate() {
+            *v = (i + 1) as f64;
+        }
+        r
+    }
+
     #[test]
     fn runlite_kv_round_trip() {
-        // Exhaustive struct literal on purpose (no `..Default::default()`):
-        // adding a field to RunLite breaks this test at compile time,
-        // pointing the maintainer at FIELDS/get/set, which must be
-        // extended together (and CACHE_SCHEMA_VERSION bumped).
-        let r = RunLite {
-            ipc: 1.25,
-            llc_mpki: 7.5,
-            offchip_rate: 0.25,
-            accuracy: 0.77,
-            coverage: 0.5,
-            mm_requests: 1000.0,
-            stall_offchip: 2000.0,
-            blocking: 30.0,
-            nonblocking: 40.0,
-            stalls_per_offchip: 50.0,
-            onchip_portion: 60.0,
-            offchip_latency: 70.0,
-            energy: 80.0,
-            energy_bus: 90.0,
-            energy_caches: 100.0,
-            energy_meta: 110.0,
-            dtlb_mpki: 3.5,
-            stlb_mpki: 1.25,
-            walk_cycles: 42.0,
-            coh_upgrades: 7.0,
-            coh_invalidations: 11.0,
-            coh_dirty_forwards: 2.5,
-            spec_reads_useful: 9.0,
-            spec_reads_wasted: 4.0,
-            pred_tp: 600.0,
-            pred_fp: 20.0,
-            pred_fn: 30.0,
-            pred_tn: 9000.0,
-            rq_occ_mean: 3.25,
-            rq_occ_p95: 12.0,
-            wq_occ_p95: 5.0,
-            dram_qdelay_p95: 127.0,
-            offchip_lat_p50: 255.0,
-            offchip_lat_p95: 511.0,
-            offchip_lat_p99: 1023.0,
-            llc_hit_lat_p50: 63.0,
-            walk_lat_p95: 127.0,
-            rob_occ_mean: 210.5,
-            rs_full_stalls: 33.0,
-            lsq_full_stalls: 17.0,
-            forwarded_loads: 450.0,
-            flushes: 12.0,
-            cycles: 123.0,
-        };
-        let back = RunLite::from_kv(&r.to_kv()).unwrap();
-        assert_eq!(r, back);
+        let r = indexed();
+        assert_eq!(RunLite::from_kv(&r.to_kv()), Some(r));
+    }
+
+    #[test]
+    fn kv_field_list_matches_struct() {
+        // Names and values pair up in struct order.
+        for (i, (field, v)) in indexed().fields().enumerate() {
+            assert_eq!(field, FIELDS[i]);
+            assert_eq!(v, (i + 1) as f64, "{field}");
+        }
     }
 
     #[test]
     fn kv_rejects_garbage() {
+        let first = FIELDS[0];
         assert!(RunLite::from_kv("bogus=1\n").is_none());
-        assert!(RunLite::from_kv("ipc=notanumber\n").is_none());
+        assert!(RunLite::from_kv(&format!("{first}=notanumber\n")).is_none());
         assert!(
             RunLite::from_kv("").is_none(),
             "empty file must be a cache miss"
         );
         assert!(
-            RunLite::from_kv("ipc=1.0\n").is_none(),
+            RunLite::from_kv(&format!("{first}=1.0\n")).is_none(),
             "partial file must be a cache miss"
         );
-    }
-
-    #[test]
-    fn kv_field_list_matches_struct() {
-        // Every field named in FIELDS round-trips through get/set.
-        let mut r = RunLite::default();
-        for (i, f) in FIELDS.iter().enumerate() {
-            assert!(r.set(f, (i + 1) as f64));
-            assert_eq!(r.get(f), (i + 1) as f64);
-        }
     }
 }
