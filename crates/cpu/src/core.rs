@@ -9,7 +9,7 @@
 //! hurt and where Hermes wins its cycles back.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hermes_trace::{Instr, MemKind, TraceSource};
 use hermes_types::{CoreId, Cycle, VirtAddr};
@@ -82,8 +82,11 @@ pub struct Core {
     rob: VecDeque<RobEntry>,
     next_seq: u64,
     regs: Vec<RegState>,
-    /// producer seq -> dependent seqs waiting on it.
-    waiters: HashMap<u64, Vec<u64>>,
+    /// Dependent seqs waiting on producer `p`, at `waiters[p % rob_size]`.
+    /// In-flight seqs are `rob_size` consecutive numbers at most, so no
+    /// two live producers share a slot; a producer's list is emptied at
+    /// its completion, before its slot can be reused.
+    waiters: Vec<Vec<u64>>,
     agen_events: BinaryHeap<Reverse<(Cycle, u64)>>,
     lq_used: usize,
     sq_used: usize,
@@ -109,18 +112,18 @@ impl Core {
         let bp = branch::build(cfg.branch_predictor);
         Self {
             id,
-            cfg,
             trace,
             rob: VecDeque::with_capacity(512),
             next_seq: 0,
             regs: vec![RegState::ReadyAt(0); hermes_trace::instr::NUM_REGS],
-            waiters: HashMap::new(),
+            waiters: vec![Vec::new(); cfg.rob_size],
             agen_events: BinaryHeap::new(),
             lq_used: 0,
             sq_used: 0,
             fetch_stall_until: 0,
             bp,
             stats: CoreStats::default(),
+            cfg,
         }
     }
 
@@ -148,6 +151,10 @@ impl Core {
     /// kept, matching the paper's warmup/measurement methodology.
     pub fn reset_stats(&mut self) {
         self.stats = CoreStats::default();
+    }
+
+    fn waiter_slot(&self, seq: u64) -> usize {
+        (seq % self.cfg.rob_size as u64) as usize
     }
 
     fn entry_index(&self, seq: u64) -> Option<usize> {
@@ -253,7 +260,6 @@ impl Core {
             match head.state {
                 EntryState::Done(t) if t <= now => {
                     let e = self.rob.pop_front().expect("front checked above");
-                    self.waiters.remove(&e.seq);
                     self.stats.retired += 1;
                     retired_now += 1;
                     match e.kind {
@@ -357,7 +363,8 @@ impl Core {
                 deps[slot] = Some(match self.regs[*r as usize] {
                     RegState::ReadyAt(t) => SrcDep::Ready(t),
                     RegState::PendingOn(p) => {
-                        self.waiters.entry(p).or_default().push(seq);
+                        let slot = self.waiter_slot(p);
+                        self.waiters[slot].push(seq);
                         SrcDep::On(p)
                     }
                 });
@@ -478,29 +485,25 @@ impl Core {
                 self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
             }
         }
-        // Wake dependents (iteratively; chains can be ROB-deep).
-        let mut work = vec![(seq, done)];
-        while let Some((producer, at)) = work.pop() {
-            let Some(dependents) = self.waiters.remove(&producer) else {
+        // Wake dependents. A dependent that completes synchronously
+        // recurses into `on_complete` for its own slot, so the list is
+        // taken out while it is walked and put back empty to keep its
+        // allocation.
+        let slot = self.waiter_slot(seq);
+        let mut dependents = std::mem::take(&mut self.waiters[slot]);
+        for &dep_seq in &dependents {
+            let Some(didx) = self.entry_index(dep_seq) else {
                 continue;
             };
-            for dep_seq in dependents {
-                let Some(didx) = self.entry_index(dep_seq) else {
-                    continue;
-                };
-                for d in self.rob[didx].deps.iter_mut().flatten() {
-                    if *d == SrcDep::On(producer) {
-                        *d = SrcDep::Ready(at);
-                    }
+            for d in self.rob[didx].deps.iter_mut().flatten() {
+                if *d == SrcDep::On(seq) {
+                    *d = SrcDep::Ready(done);
                 }
-                let before = self.rob[didx].state;
-                self.try_schedule(dep_seq);
-                // If the dependent completed synchronously, enqueue its own
-                // wakeups (try_schedule -> on_complete already handled reg +
-                // waiters for ALU chains; nothing more to do here).
-                let _ = before;
             }
+            self.try_schedule(dep_seq);
         }
+        dependents.clear();
+        self.waiters[slot] = dependents;
     }
 
     /// Current ROB occupancy (diagnostics / tests).
@@ -610,6 +613,37 @@ mod tests {
         let ipc = core.stats().ipc(1000);
         assert!(ipc < 1.2, "serial chain must not exceed 1 IPC, got {ipc}");
         assert!(ipc > 0.8, "serial chain should sustain ~1 IPC, got {ipc}");
+    }
+
+    #[test]
+    fn chain_longer_than_rob_is_serial() {
+        // load r1 <- [r1]; alu r1 <- r1, repeated: every younger entry in
+        // an 8-entry ROB waits on its predecessor, so every waiter slot
+        // is live at once and reused many times over the 40-instruction
+        // chain. Each hop costs one agen cycle, the memory latency and
+        // one ALU cycle.
+        let src = Box::new(VecSource::new(
+            "chain",
+            vec![
+                Instr::load(0x400000, VirtAddr::new(0x1000), Some(1), [Some(1), None]),
+                Instr::alu(0x400004, Some(1), [Some(1), None]),
+            ],
+        ));
+        let cfg = CoreConfig {
+            rob_size: 8,
+            ..CoreConfig::baseline()
+        };
+        let mut core = Core::new(0, cfg, src);
+        let mut mem = StubMem::new(10, ServedBy::L2);
+        let hops = 20;
+        let mut now = 0;
+        while core.retired() < 2 * hops {
+            assert!(now < 1_000_000, "chain stalled at {}", core.retired());
+            mem.deliver_due(now, &mut core);
+            core.tick(now, &mut mem);
+            now += 1;
+        }
+        assert_eq!(now - 1, hops * (1 + 10 + 1));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The memory controller: read/write scheduling and the Hermes merge path.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use hermes_types::{Cycle, Hist, LineAddr};
+use hermes_types::{Cycle, FastMap, Hist, LineAddr};
 
 use crate::config::DramConfig;
 use crate::mapping::map_line;
@@ -128,7 +128,7 @@ pub struct MemoryController {
     /// Per-channel dedicated write-queue slots (empty inner vectors when
     /// `wq_capacity` is unset and writes share the read queue).
     wq_slots: Vec<Vec<Cycle>>,
-    inflight: HashMap<u64, Inflight>,
+    inflight: FastMap<u64, Inflight>,
     heap: BinaryHeap<Reverse<(Cycle, u64)>>,
     stats: DramStats,
 }
@@ -143,7 +143,7 @@ impl MemoryController {
             bus_free: vec![0; cfg.channels],
             rq_slots: vec![vec![0; cfg.rq_capacity]; cfg.channels],
             wq_slots: vec![vec![0; cfg.wq_capacity.unwrap_or(0)]; cfg.channels],
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             heap: BinaryHeap::new(),
             stats: DramStats::default(),
             cfg,

@@ -44,7 +44,7 @@
 //! every historical configuration stays byte-identical.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hermes_cpu::branch::{self, BranchPredictor};
 use hermes_cpu::config::{CoreConfig, CoreModel, OooConfig};
@@ -134,8 +134,11 @@ pub struct OooCore {
     rob: VecDeque<Entry>,
     next_seq: u64,
     rat: Vec<RatEntry>,
-    /// producer seq -> dependent seqs waiting on it.
-    waiters: HashMap<u64, Vec<u64>>,
+    /// Dependent seqs waiting on producer `p`, at `waiters[p % rob_size]`.
+    /// In-flight seqs are `rob_size` consecutive numbers at most, so no
+    /// two live producers share a slot; a producer's list is emptied at
+    /// its completion, before its slot can be reused.
+    waiters: Vec<Vec<u64>>,
     /// Instructions with all operands known, keyed by the cycle their
     /// operands forward; select pops `issue_width` per cycle.
     ready: BinaryHeap<Reverse<(Cycle, u64)>>,
@@ -177,7 +180,7 @@ impl OooCore {
             rob: VecDeque::with_capacity(cfg.rob_size.min(1024)),
             next_seq: 0,
             rat: vec![RatEntry::ReadyAt(0); hermes_trace::instr::NUM_REGS],
-            waiters: HashMap::new(),
+            waiters: vec![Vec::new(); cfg.rob_size],
             ready: BinaryHeap::new(),
             events: BinaryHeap::new(),
             rs_used: 0,
@@ -227,6 +230,10 @@ impl OooCore {
     /// Current load+store queue occupancy.
     pub fn lsq_occupancy(&self) -> usize {
         self.lq_used + self.sq_used
+    }
+
+    fn waiter_slot(&self, seq: u64) -> usize {
+        (seq % self.cfg.rob_size as u64) as usize
     }
 
     fn entry_index(&self, seq: u64) -> Option<usize> {
@@ -474,7 +481,6 @@ impl OooCore {
             };
             if head.state == St::Done && head.done_at <= now {
                 let e = self.rob.pop_front().expect("front checked above");
-                self.waiters.remove(&e.seq);
                 self.stats.retired += 1;
                 retired_now += 1;
                 match e.kind {
@@ -596,7 +602,8 @@ impl OooCore {
                 deps[slot] = Some(match self.rat[*r as usize] {
                     RatEntry::ReadyAt(t) => SrcDep::Ready(t),
                     RatEntry::PendingOn(p) => {
-                        self.waiters.entry(p).or_default().push(seq);
+                        let slot = self.waiter_slot(p);
+                        self.waiters[slot].push(seq);
                         SrcDep::On(p)
                     }
                 });
@@ -695,19 +702,22 @@ impl OooCore {
                 self.fetch_stall_until = done + self.cfg.branch_penalty as Cycle;
             }
         }
-        if let Some(dependents) = self.waiters.remove(&seq) {
-            for dep_seq in dependents {
-                let Some(didx) = self.entry_index(dep_seq) else {
-                    continue;
-                };
-                for d in self.rob[didx].deps.iter_mut().flatten() {
-                    if *d == SrcDep::On(seq) {
-                        *d = SrcDep::Ready(done);
-                    }
+        let slot = self.waiter_slot(seq);
+        let mut dependents = std::mem::take(&mut self.waiters[slot]);
+        for &dep_seq in &dependents {
+            let Some(didx) = self.entry_index(dep_seq) else {
+                continue;
+            };
+            for d in self.rob[didx].deps.iter_mut().flatten() {
+                if *d == SrcDep::On(seq) {
+                    *d = SrcDep::Ready(done);
                 }
-                self.try_wake(dep_seq);
             }
+            self.try_wake(dep_seq);
         }
+        // Put the emptied list back so the slot keeps its allocation.
+        dependents.clear();
+        self.waiters[slot] = dependents;
     }
 }
 
@@ -972,6 +982,37 @@ mod tests {
         let mut mem = StubMem::new(100, ServedBy::Dram);
         run(&mut core, &mut mem, 10_000);
         assert!(core.retired() > 300, "retired {}", core.retired());
+    }
+
+    #[test]
+    fn chain_longer_than_rob_is_serial() {
+        // load r1 <- [r1]; alu r1 <- r1, repeated: every younger entry in
+        // an 8-entry ROB waits on its predecessor, so every waiter slot
+        // is live at once and reused many times over the 40-instruction
+        // chain. After the first select at cycle 1, each hop costs the
+        // agen latency, the memory latency and one ALU cycle.
+        let cfg = CoreConfig {
+            rob_size: 8,
+            ..CoreConfig::baseline()
+        };
+        let agen = OooConfig::baseline().agen_latency as Cycle;
+        let mut core = mk(
+            cfg,
+            vec![
+                Instr::load(0x400000, VirtAddr::new(0x1000), Some(1), [Some(1), None]),
+                Instr::alu(0x400004, Some(1), [Some(1), None]),
+            ],
+        );
+        let mut mem = StubMem::new(10, ServedBy::L2);
+        let hops = 20;
+        let mut now = 0;
+        while core.retired() < 2 * hops {
+            assert!(now < 1_000_000, "chain stalled at {}", core.retired());
+            mem.deliver_due(now, &mut core);
+            core.tick(now, &mut mem);
+            now += 1;
+        }
+        assert_eq!(now - 1, 1 + hops * (agen + 10 + 1));
     }
 
     #[test]

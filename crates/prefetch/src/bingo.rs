@@ -10,9 +10,7 @@
 //! back to the short key — Bingo's titular trick — and prefetches every
 //! line in the recalled footprint.
 
-use std::collections::HashMap;
-
-use hermes_types::LineAddr;
+use hermes_types::{FastMap, LineAddr};
 
 use crate::{AccessCtx, PrefetchReq, Prefetcher};
 
@@ -36,9 +34,9 @@ struct AccEntry {
 pub struct Bingo {
     acc: Vec<AccEntry>,
     /// Long-key history: (pc, region) -> footprint.
-    hist_long: HashMap<u64, u32>,
+    hist_long: FastMap<u64, u32>,
     /// Short-key history: (pc, offset) -> footprint.
-    hist_short: HashMap<u64, u32>,
+    hist_short: FastMap<u64, u32>,
     clock: u64,
 }
 
@@ -47,8 +45,8 @@ impl Bingo {
     pub fn new() -> Self {
         Self {
             acc: vec![AccEntry::default(); ACC_ENTRIES],
-            hist_long: HashMap::with_capacity(HISTORY_ENTRIES),
-            hist_short: HashMap::with_capacity(HISTORY_ENTRIES),
+            hist_long: FastMap::with_capacity_and_hasher(HISTORY_ENTRIES, Default::default()),
+            hist_short: FastMap::with_capacity_and_hasher(HISTORY_ENTRIES, Default::default()),
             clock: 0,
         }
     }

@@ -10,9 +10,7 @@
 //! candidates using hashed features, trained by prefetch usefulness
 //! feedback.
 
-use std::collections::HashMap;
-
-use hermes_types::{hash_index, LineAddr, SatWeight};
+use hermes_types::{hash_index, FastMap, LineAddr, SatWeight};
 
 use crate::{AccessCtx, PrefetchReq, Prefetcher};
 
@@ -91,7 +89,7 @@ impl PtSet {
 struct PpfFilter {
     tables: Vec<Vec<SatWeight>>,
     /// Issued-prefetch metadata for training: line -> feature indices.
-    inflight: HashMap<u64, [u16; PPF_TABLES]>,
+    inflight: FastMap<u64, [u16; PPF_TABLES]>,
 }
 
 impl PpfFilter {
@@ -100,7 +98,7 @@ impl PpfFilter {
             tables: (0..PPF_TABLES)
                 .map(|_| vec![SatWeight::new_bits(6); 1 << PPF_TABLE_BITS])
                 .collect(),
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
         }
     }
 

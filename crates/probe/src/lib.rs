@@ -38,9 +38,7 @@ pub mod interval;
 pub mod json;
 pub mod trace;
 
-use std::collections::HashMap;
-
-use hermes_types::{Cycle, Hist};
+use hermes_types::{Cycle, FastMap, Hist};
 
 pub use interval::{CoreInterval, IntervalInput, IntervalSnapshot};
 pub use json::{escape_json, validate_json};
@@ -153,10 +151,10 @@ pub struct Probe {
     cfg: ProbeConfig,
     traces: Vec<TracedLoad>,
     /// Active traced loads by packed (core << 48 | token) key.
-    by_key: HashMap<u64, usize>,
+    by_key: FastMap<u64, usize>,
     /// Active traced loads by raw line address (several sampled loads
     /// may target one line).
-    by_line: HashMap<u64, Vec<usize>>,
+    by_line: FastMap<u64, Vec<usize>>,
     lat: [Hist; 4],
     lat_walk: Hist,
     intervals: Vec<IntervalSnapshot>,
@@ -174,8 +172,8 @@ impl Probe {
         Self {
             cfg,
             traces: Vec::new(),
-            by_key: HashMap::new(),
-            by_line: HashMap::new(),
+            by_key: FastMap::default(),
+            by_line: FastMap::default(),
             lat: [Hist::new(); 4],
             lat_walk: Hist::new(),
             intervals: Vec::new(),

@@ -117,7 +117,7 @@
 //! [`Hierarchy::next_event_at`] for idle-cycle fast-forward.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hermes::{
     CohEventTable, CohHints, Hmp, LoadContext, OffChipPredictor, Popet, Prediction, PredictorKind,
@@ -128,7 +128,7 @@ use hermes_cpu::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
 use hermes_dram::{Completion, MemoryController, ReqKind};
 use hermes_prefetch::{self as pf, AccessCtx, PrefetchReq, Prefetcher};
 use hermes_probe::{IntervalInput, LatClass, Probe, ProbeReport};
-use hermes_types::{CoreId, Cycle, LineAddr, PhysAddr, VirtAddr};
+use hermes_types::{CoreId, Cycle, FastMap, FastSet, LineAddr, PhysAddr, VirtAddr};
 use hermes_vm::{PageMap, Tlb, VmConfig, WalkCache};
 
 use crate::config::SystemConfig;
@@ -259,8 +259,8 @@ struct Retry {
 /// own dense vector so the per-tick sweep touches 8 bytes per
 /// parked-but-not-due entry instead of the whole payload (under MSHR
 /// saturation the queue holds thousands of entries and is re-scanned
-/// every tick). `push`/`swap_remove` keep the two vectors in lockstep,
-/// preserving the exact legacy scan order bit-for-bit.
+/// every tick). `push`/`swap_remove`/`repark` keep the two vectors in
+/// lockstep, preserving the exact legacy scan order bit-for-bit.
 #[derive(Debug, Default)]
 struct RetryQueue {
     at: Vec<Cycle>,
@@ -285,9 +285,25 @@ impl RetryQueue {
     }
 
     #[inline]
+    fn body(&self, i: usize) -> &Retry {
+        &self.body[i]
+    }
+
+    #[inline]
     fn swap_remove(&mut self, i: usize) -> Retry {
         self.at.swap_remove(i);
         self.body.swap_remove(i)
+    }
+
+    /// Re-parks entry `i` at `at` in place: the same queue state as
+    /// `let r = swap_remove(i); push(at, r)`, without moving the payload
+    /// out and back.
+    #[inline]
+    fn repark(&mut self, i: usize, at: Cycle) {
+        let last = self.at.len() - 1;
+        self.at.swap(i, last);
+        self.body.swap(i, last);
+        self.at[last] = at;
     }
 
     /// Minimum due time across the queue (`Cycle::MAX` when empty).
@@ -457,9 +473,9 @@ struct VmFrontend {
     stlbs: Vec<Tlb>,
     /// Per-core page-walk caches.
     pwcs: Vec<WalkCache>,
-    walks: HashMap<u64, Walk>,
+    walks: FastMap<u64, Walk>,
     /// `(core, dTLB key)` → in-flight walk, for same-page merging.
-    by_page: HashMap<(usize, u64), u64>,
+    by_page: FastMap<(usize, u64), u64>,
     next_walk: u64,
 }
 
@@ -474,8 +490,8 @@ impl VmFrontend {
             pwcs: (0..cores)
                 .map(|_| WalkCache::new(cfg.pwc_entries))
                 .collect(),
-            walks: HashMap::new(),
-            by_page: HashMap::new(),
+            walks: FastMap::default(),
+            by_page: FastMap::default(),
             next_walk: 0,
             cfg: cfg.clone(),
         }
@@ -503,7 +519,7 @@ pub struct Hierarchy {
     prefetchers: Vec<Box<dyn Prefetcher>>,
     predictors: Vec<PredictorImpl>,
     pred_stats: Vec<PredictorStats>,
-    loads: HashMap<u64, LoadRec>,
+    loads: FastMap<u64, LoadRec>,
     events: BinaryHeap<Reverse<HeapEntry>>,
     seq: u64,
     finished: Vec<(usize, u64, ServedBy)>,
@@ -520,7 +536,7 @@ pub struct Hierarchy {
     /// Write-permission upgrades in flight, keyed by (core, line): a
     /// second store to the same line while one travels is subsumed by it
     /// instead of spawning a duplicate directory transaction.
-    pending_upgrades: std::collections::HashSet<(usize, LineAddr)>,
+    pending_upgrades: FastSet<(usize, LineAddr)>,
     /// Per-core second-level speculative-read filters; consulted only
     /// when `hermes.filter` is on, trained whenever it is.
     filters: Vec<SpecReadFilter>,
@@ -599,7 +615,7 @@ impl Hierarchy {
             prefetchers: (0..n).map(|_| pf::build(cfg.prefetcher)).collect(),
             predictors,
             pred_stats: vec![PredictorStats::default(); n],
-            loads: HashMap::new(),
+            loads: FastMap::default(),
             events: BinaryHeap::new(),
             seq: 0,
             finished: Vec::new(),
@@ -608,7 +624,7 @@ impl Hierarchy {
             pf_buf: Vec::new(),
             retries: RetryQueue::default(),
             retry_min: Cycle::MAX,
-            pending_upgrades: std::collections::HashSet::new(),
+            pending_upgrades: FastSet::default(),
             filters: (0..n).map(|_| SpecReadFilter::new()).collect(),
             coh_tables: (0..n).map(|_| CohEventTable::new()).collect(),
             vm: cfg.vm.as_ref().map(|v| VmFrontend::new(v, n)),
@@ -1780,7 +1796,7 @@ impl Hierarchy {
             let mut i = 0;
             while i < self.retries.len() {
                 if self.retries.at(i) <= now {
-                    let r = self.retries.swap_remove(i);
+                    let r = *self.retries.body(i);
                     if r.epoch == self.levels[0].change_epoch(r.core) {
                         match r.walk {
                             Some(_) => self.stats[r.core].walk_mem_accesses += 1,
@@ -1792,8 +1808,9 @@ impl Hierarchy {
                             }
                         }
                         self.levels[0].count_rejected_retry();
-                        self.retries.push(now + self.cfg.mshr_retry as Cycle, r);
+                        self.retries.repark(i, now + self.cfg.mshr_retry as Cycle);
                     } else {
+                        self.retries.swap_remove(i);
                         match r.walk {
                             Some(walk) => self.walk_access(r.core, r.line, walk, now),
                             None => {

@@ -1,22 +1,23 @@
 //! Scheduler models for [`crate::System::run`]: the legacy per-cycle
-//! tick loop and the event-driven calendar-queue loop.
+//! tick loop and the event-driven calendar loop.
 //!
 //! Both models simulate the *identical* cycle trajectory — the calendar
 //! loop is an execution engine, not a semantics change. Every
 //! time-bearing component publishes the earliest cycle at which it can
 //! do real work (`Hierarchy::next_event_at` covers the event heap, the
 //! retry queue, pending page walks, and DRAM channel completions;
-//! `Core::next_work_at` covers both pipeline models), and the runner
-//! advances straight to the earliest published time, attributing the
-//! skipped cycles to the cores' stall counters in bulk — exactly like
-//! the tick loop's idle-cycle fast-forward, but additionally skipping
-//! the per-cycle work of components that are idle at a cycle where
-//! *some other* component is busy. That skip is stat-neutral by the
-//! same contract fast-forward relies on: ticking a core strictly
-//! before its `next_work_at` is equivalent to `skip_stalled(1)`, and
-//! ticking the hierarchy strictly before its `next_event_at` is a
-//! no-op. Cycle-exactness of the two models is pinned by the golden
-//! digests and by `tests/sched_equivalence.rs`.
+//! `Core::next_work_at` covers both pipeline models) into a
+//! [`CalendarQueue`], and the runner advances straight to the minimum
+//! of the published times, attributing the skipped cycles to the cores'
+//! stall counters in bulk — exactly like the tick loop's idle-cycle
+//! fast-forward, but additionally skipping the per-cycle work of
+//! components that are idle at a cycle where *some other* component is
+//! busy. That skip is stat-neutral by the same contract fast-forward
+//! relies on: ticking a core strictly before its `next_work_at` is
+//! equivalent to `skip_stalled(1)`, and ticking the hierarchy strictly
+//! before its `next_event_at` is a no-op. Cycle-exactness of the two
+//! models is pinned by the golden digests and by
+//! `tests/sched_equivalence.rs`.
 
 use hermes_types::Cycle;
 
@@ -34,159 +35,47 @@ pub enum SchedulerModel {
     Calendar,
 }
 
-/// Width of the calendar wheel in single-cycle buckets. Sized to cover
-/// a full DRAM round trip (a few hundred cycles) so steady-state event
-/// horizons stay inside the wheel and the overflow list stays empty.
-const WHEEL: usize = 512;
-
-/// A calendar (bucket) queue of per-source wake-up times.
+/// The per-source wake-up times the calendar loop advances over.
 ///
 /// Each source (the hierarchy, each core) owns exactly one *published*
 /// time — the earliest cycle at which it can do real work, or
 /// [`Cycle::MAX`] when it is fully blocked. [`CalendarQueue::publish`]
-/// files the time into a ring of single-cycle buckets (or an overflow
-/// list beyond the wheel horizon); superseded entries are deleted
-/// lazily, by checking each visited entry against the source's current
-/// published time. [`CalendarQueue::next_due`] returns the earliest
-/// cycle at or after `from` at which any source is due.
-///
-/// Correctness never depends on the buckets being complete: when the
-/// wheel has no live entry the queue falls back to a scan of the
-/// published times themselves, so the buckets are purely an
-/// accelerator for the common dense-event case.
+/// overwrites the source's time; [`CalendarQueue::next_due`] returns the
+/// earliest cycle at or after `from` at which any source is due, as a
+/// plain min over the published times. With 1 + cores sources (at most
+/// nine in every experiment) that scan is cheaper than maintaining a
+/// bucketed time wheel.
 #[derive(Debug)]
 pub struct CalendarQueue {
     /// Current published wake time per source (`Cycle::MAX` = idle).
     published: Vec<Cycle>,
-    /// `buckets[c % WHEEL]` holds `(source, published_at)` entries for
-    /// cycle `c` in the current window `[base, base + WHEEL)`.
-    buckets: Vec<Vec<(u32, Cycle)>>,
-    /// Entries published beyond the wheel horizon; migrated into the
-    /// wheel as the window advances over them.
-    overflow: Vec<(u32, Cycle)>,
-    /// First cycle covered by the wheel.
-    base: Cycle,
 }
 
 impl CalendarQueue {
-    /// An empty queue for `sources` sources, windowed at cycle 0.
+    /// An empty queue for `sources` sources, all idle.
     pub fn new(sources: usize) -> Self {
         Self {
             published: vec![Cycle::MAX; sources],
-            buckets: (0..WHEEL).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            base: 0,
         }
     }
 
-    /// Publishes `src`'s next event time, superseding any previous one
-    /// (the stale entry is deleted lazily). `Cycle::MAX` parks the
-    /// source as idle.
+    /// Publishes `src`'s next event time, superseding any previous one.
+    /// `Cycle::MAX` parks the source as idle.
+    #[inline]
     pub fn publish(&mut self, src: usize, at: Cycle) {
-        if self.published[src] == at {
-            return;
-        }
         self.published[src] = at;
-        if at == Cycle::MAX {
-            return;
-        }
-        // Times already in the past are filed at the window base: they
-        // are due at whatever cycle the runner asks about next.
-        let slot = at.max(self.base);
-        if slot < self.base + WHEEL as Cycle {
-            self.buckets[(slot % WHEEL as Cycle) as usize].push((src as u32, at));
-        } else {
-            self.overflow.push((src as u32, at));
-        }
     }
 
     /// The earliest cycle `>= from` at which any source is due
-    /// (`Cycle::MAX` when every source is idle). Advances the window to
-    /// `from`.
+    /// (`Cycle::MAX` when every source is idle). Times already in the
+    /// past are due at `from`.
+    #[inline]
     pub fn next_due(&mut self, from: Cycle) -> Cycle {
-        self.advance(from);
-        // Scan the wheel from `from`. An entry in bucket `c` always has
-        // `published_at <= c`, so the first bucket holding a live entry
-        // is the answer.
-        for c in from..from + WHEEL as Cycle {
-            let idx = (c % WHEEL as Cycle) as usize;
-            if self.buckets[idx].is_empty() {
-                continue;
-            }
-            let published = &self.published;
-            self.buckets[idx].retain(|&(s, at)| published[s as usize] == at);
-            if !self.buckets[idx].is_empty() {
-                return c;
-            }
-        }
-        // Nothing inside the wheel: the exact answer comes from the
-        // published times themselves (far-future events, or none).
-        let min = self.published.iter().copied().min().unwrap_or(Cycle::MAX);
-        if min == Cycle::MAX {
-            Cycle::MAX
-        } else {
-            min.max(from)
-        }
-    }
-
-    /// Moves the window start to `from`, re-filing still-live entries
-    /// from passed buckets (they are due immediately) and migrating
-    /// overflow entries that entered the window.
-    fn advance(&mut self, from: Cycle) {
-        if from <= self.base {
-            return;
-        }
-        if from - self.base >= WHEEL as Cycle {
-            // The whole wheel was passed: rebuild from the published
-            // times (cheaper and simpler than rotating bucket by
-            // bucket, and exact by construction).
-            for b in &mut self.buckets {
-                b.clear();
-            }
-            self.overflow.clear();
-            self.base = from;
-            for src in 0..self.published.len() {
-                let at = self.published[src];
-                if at != Cycle::MAX {
-                    let slot = at.max(from);
-                    if slot < from + WHEEL as Cycle {
-                        self.buckets[(slot % WHEEL as Cycle) as usize].push((src as u32, at));
-                    } else {
-                        self.overflow.push((src as u32, at));
-                    }
-                }
-            }
-            return;
-        }
-        while self.base < from {
-            let idx = (self.base % WHEEL as Cycle) as usize;
-            if !self.buckets[idx].is_empty() {
-                // Live entries at a passed cycle are due now: re-file
-                // them at the new window base. Stale ones drop here.
-                let mut moved = std::mem::take(&mut self.buckets[idx]);
-                moved.retain(|&(s, at)| self.published[s as usize] == at);
-                let dst = (from % WHEEL as Cycle) as usize;
-                self.buckets[dst].append(&mut moved);
-            }
-            self.base += 1;
-        }
-        if !self.overflow.is_empty() {
-            // Migrate overflow entries that fell inside the new window.
-            let horizon = self.base + WHEEL as Cycle;
-            let mut i = 0;
-            while i < self.overflow.len() {
-                let (s, at) = self.overflow[i];
-                if self.published[s as usize] != at {
-                    self.overflow.swap_remove(i);
-                } else if at < horizon {
-                    self.overflow.swap_remove(i);
-                    let slot = at.max(self.base);
-                    self.buckets[(slot % WHEEL as Cycle) as usize].push((s, at));
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        // `Cycle::MAX.max(from)` stays `Cycle::MAX`: all idle.
+        self.published
+            .iter()
+            .fold(Cycle::MAX, |m, &t| m.min(t))
+            .max(from)
     }
 }
 
@@ -235,40 +124,43 @@ mod tests {
     }
 
     #[test]
-    fn far_future_event_beyond_wheel() {
+    fn far_future_event() {
         let mut q = CalendarQueue::new(2);
-        q.publish(0, WHEEL as Cycle * 10);
-        assert_eq!(q.next_due(0), WHEEL as Cycle * 10);
-        // Window jumps straight there; the event is found again.
-        assert_eq!(q.next_due(WHEEL as Cycle * 10), WHEEL as Cycle * 10);
+        q.publish(0, 5_120);
+        assert_eq!(q.next_due(0), 5_120);
+        assert_eq!(q.next_due(5_120), 5_120);
     }
 
     #[test]
-    fn overflow_migrates_into_window() {
+    fn distant_event_survives_small_steps() {
         let mut q = CalendarQueue::new(2);
-        q.publish(0, WHEEL as Cycle + 50); // beyond the initial horizon
+        q.publish(0, 562);
         q.publish(1, 10);
         assert_eq!(q.next_due(0), 10);
         q.publish(1, Cycle::MAX);
-        // Advance in small steps so the overflow path (not the rebuild
-        // path) migrates the entry.
         for c in (0..=90).map(|i| i * 6) {
-            assert_eq!(q.next_due(c), WHEEL as Cycle + 50);
+            assert_eq!(q.next_due(c), 562);
         }
         // Once the asked-about cycle passes the event it clamps up.
-        assert_eq!(q.next_due(WHEEL as Cycle + 60), WHEEL as Cycle + 60);
+        assert_eq!(q.next_due(572), 572);
     }
 
     #[test]
     fn interleaved_publish_and_advance() {
         // Simulates the runner's pattern: each "cycle" republish a
-        // moving horizon and query; compare against a naive min.
+        // moving horizon and query; compare against a naive min. Some
+        // publishes park the source (`Cycle::MAX`) or are already past
+        // due when made.
         let mut q = CalendarQueue::new(3);
         let mut truth = [Cycle::MAX; 3];
-        let mut cycle = 0;
+        let mut cycle: Cycle = 0;
         for step in 0..2_000u64 {
             let src = (step % 3) as usize;
-            let at = cycle + (step * 7 % 90);
+            let at = match step % 11 {
+                0 => Cycle::MAX,
+                4 => cycle.saturating_sub(step % 40),
+                _ => cycle + (step * 7 % 90),
+            };
             q.publish(src, at);
             truth[src] = at;
             let want = truth.iter().copied().min().unwrap().max(cycle);
@@ -278,15 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn large_jump_rebuild_keeps_live_entries() {
+    fn past_due_source_surfaces_after_large_jump() {
         let mut q = CalendarQueue::new(3);
         q.publish(0, 5);
-        q.publish(1, WHEEL as Cycle * 3 + 7);
-        // Jump far past the whole wheel; source 0's entry (now long
-        // past due) must surface at the new window base, not vanish.
-        let far = WHEEL as Cycle * 2;
-        assert_eq!(q.next_due(far), far);
+        q.publish(1, 1_543);
+        // Source 0's time is long past due at 1024: it is due right
+        // there, not lost.
+        assert_eq!(q.next_due(1_024), 1_024);
         q.publish(0, Cycle::MAX);
-        assert_eq!(q.next_due(far), WHEEL as Cycle * 3 + 7);
+        assert_eq!(q.next_due(1_024), 1_543);
     }
 }

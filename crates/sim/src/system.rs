@@ -173,7 +173,7 @@ impl System {
         let n = self.cores.len();
         let budget = (warmup + sim) * 400 + 2_000_000;
 
-        // Calendar mode owns a bucket queue with one source per
+        // Calendar mode owns a `CalendarQueue` with one source per
         // time-bearing component: source 0 is the hierarchy (event
         // heap, retry queue, page walks, DRAM channels), sources 1..=n
         // are the cores. It persists across the warmup/measure boundary

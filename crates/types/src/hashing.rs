@@ -7,6 +7,16 @@
 //! XOR-fold to the table's index width ([`fold_bits`]). These functions are
 //! deterministic, allocation-free, and shared by POPET, the perceptron
 //! branch predictor, SHiP signatures, and prefetcher table indexing.
+//!
+//! [`FastMap`] and [`FastSet`] are `std` hash maps over the same
+//! finalizer, for simulator state keyed by tokens, line or page numbers
+//! on per-load paths. Unlike the default `RandomState` they seed nothing
+//! per run, and they cost one [`mix64`] per key word instead of SipHash.
+//! They offer no defence against keys crafted to collide, so keep the
+//! default hasher for maps whose keys come from outside the simulator.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Finalizes a 64-bit value into a well-mixed 64-bit hash.
 ///
@@ -90,6 +100,55 @@ pub fn shifted_xor(values: &[u64], shift_per_element: u32) -> u64 {
     acc
 }
 
+/// A [`Hasher`] that folds each written word into its state with
+/// [`mix64`]. Built by [`FastBuildHasher`]; see the [module docs](self).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix64(self.0 ^ n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// Deterministic [`std::hash::BuildHasher`] for [`FastMap`] and
+/// [`FastSet`].
+pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+
+/// A `HashMap` hashed with [`FastHasher`].
+///
+/// # Example
+///
+/// ```
+/// use hermes_types::FastMap;
+/// let mut m: FastMap<u64, u32> = FastMap::default();
+/// m.insert(0x40_0000, 7);
+/// assert_eq!(m.get(&0x40_0000), Some(&7));
+/// ```
+pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
+
+/// A `HashSet` hashed with [`FastHasher`].
+pub type FastSet<T> = HashSet<T, FastBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,5 +202,40 @@ mod tests {
     #[test]
     fn shifted_xor_empty_is_zero() {
         assert_eq!(shifted_xor(&[], 3), 0);
+    }
+
+    #[test]
+    fn fast_hasher_is_deterministic_and_order_sensitive() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |v: &dyn Fn(&mut FastHasher)| {
+            let mut h = FastBuildHasher::default().build_hasher();
+            v(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&|h| 42u64.hash(h)), mix64(42));
+        assert_eq!(
+            hash(&|h| (1usize, 2u64).hash(h)),
+            hash(&|h| (1usize, 2u64).hash(h))
+        );
+        assert_ne!(
+            hash(&|h| (1usize, 2u64).hash(h)),
+            hash(&|h| (2usize, 1u64).hash(h))
+        );
+        // Byte slices longer than a word use every chunk.
+        assert_ne!(hash(&|h| h.write(&[0; 9])), hash(&|h| h.write(&[0; 8])));
+    }
+
+    #[test]
+    fn fast_map_and_set_round_trip() {
+        let mut m: FastMap<(usize, u64), u32> = FastMap::default();
+        let mut s: FastSet<u64> = FastSet::default();
+        for i in 0..1000u64 {
+            m.insert((i as usize % 4, i << 6), i as u32);
+            s.insert(i << 12);
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.get(&(3, 999 << 6)), Some(&999));
+        assert!(s.contains(&(500 << 12)));
+        assert!(!s.contains(&1));
     }
 }

@@ -28,7 +28,7 @@ pub use addr::{
     SHARED_SIZE,
 };
 pub use counter::{SatCounter, SatWeight};
-pub use hashing::{fold_bits, hash_index, mix64};
+pub use hashing::{fold_bits, hash_index, mix64, FastMap, FastSet};
 pub use hist::{Hist, HIST_BUCKETS};
 pub use summary::{geomean, mean, BoxplotSummary};
 
