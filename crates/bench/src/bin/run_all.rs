@@ -12,8 +12,9 @@
 //! listed last so they never scroll out of view. The timings are also
 //! written to `target/experiments/BENCH_run_all.json` — per-experiment
 //! wall clock plus simulated cycles and cycles/second scraped from each
-//! experiment's run manifest, and the cycle-path microbenchmarks from
-//! `hermes_bench::micro` — the perf-trajectory artifact CI archives.
+//! experiment's run manifest — and snapshotted to the next tracked
+//! `BENCH_<n>.json`. Host-speed kernels and per-layer attribution live
+//! in `perfbench/`, not here.
 
 use std::fs;
 use std::process::Command;
@@ -70,6 +71,39 @@ fn simulated_cycles(manifest: &str) -> u64 {
             v[..end].parse::<u64>().ok()
         })
         .sum()
+}
+
+/// One experiment's row in `BENCH_run_all.json`.
+struct Row<'a> {
+    name: &'a str,
+    ok: bool,
+    wall_s: f64,
+    sim_cycles: u64,
+}
+
+/// Renders the perf-trajectory artifact: wall clock per experiment plus
+/// simulator throughput (simulated cycles per wall second).
+fn bench_json(rows: &[Row], total_wall_s: f64) -> String {
+    let mut bench = String::from("{\n  \"experiments\": [");
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            bench.push(',');
+        }
+        let rate = if r.wall_s > 0.0 {
+            r.sim_cycles as f64 / r.wall_s
+        } else {
+            0.0
+        };
+        bench.push_str(&format!(
+            "\n    {{\"name\": \"{}\", \"ok\": {}, \"wall_s\": {:.3}, \
+             \"sim_cycles\": {}, \"cycles_per_sec\": {rate:.0}}}",
+            r.name, r.ok, r.wall_s, r.sim_cycles
+        ));
+    }
+    bench.push_str(&format!(
+        "\n  ],\n  \"total_wall_s\": {total_wall_s:.3}\n}}\n"
+    ));
+    bench
 }
 
 fn main() {
@@ -157,40 +191,18 @@ fn main() {
         total_start.elapsed().as_secs_f64()
     );
 
-    // Perf-trajectory artifact: wall clock per experiment plus simulator
-    // throughput (simulated cycles per wall second) from the manifests.
-    let mut bench = String::from("{\n  \"experiments\": [");
-    for (i, (exp, ok, secs)) in timings.iter().enumerate() {
-        if i > 0 {
-            bench.push(',');
-        }
-        let cycles = fs::read_to_string(format!("target/experiments/{exp}.json"))
-            .map(|m| simulated_cycles(&m))
-            .unwrap_or(0);
-        let rate = if *secs > 0.0 {
-            cycles as f64 / secs
-        } else {
-            0.0
-        };
-        bench.push_str(&format!(
-            "\n    {{\"name\": \"{exp}\", \"ok\": {ok}, \"wall_s\": {:.3}, \
-             \"sim_cycles\": {cycles}, \"cycles_per_sec\": {rate:.0}}}",
-            secs
-        ));
-    }
-    // Per-cycle-path microbenchmarks (POPET inference, LLC lookup, one
-    // cycle of each core model) ride the same artifact, so the OoO
-    // model's bookkeeping overhead is visible in the tracked trajectory.
-    eprintln!("running cycle-path microbenchmarks...");
-    let micro = hermes_bench::micro::run_all_micro();
-    for r in &micro {
-        eprintln!("  {:<24} {:>8.1} ns/op", r.name, r.ns_per_op);
-    }
-    bench.push_str(&format!(
-        "\n  ],\n  \"microbench\": {},\n  \"total_wall_s\": {:.3}\n}}\n",
-        hermes_bench::micro::to_json(&micro),
-        total_start.elapsed().as_secs_f64()
-    ));
+    let rows: Vec<Row> = timings
+        .iter()
+        .map(|&(name, ok, wall_s)| Row {
+            name,
+            ok,
+            wall_s,
+            sim_cycles: fs::read_to_string(format!("target/experiments/{name}.json"))
+                .map(|m| simulated_cycles(&m))
+                .unwrap_or(0),
+        })
+        .collect();
+    let bench = bench_json(&rows, total_start.elapsed().as_secs_f64());
     let _ = fs::create_dir_all("target/experiments");
     match fs::write("target/experiments/BENCH_run_all.json", &bench) {
         Ok(()) => eprintln!("wrote target/experiments/BENCH_run_all.json"),
@@ -223,7 +235,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::simulated_cycles;
+    use super::{bench_json, simulated_cycles, Row};
 
     /// Pins the scraper to the manifest writer's actual entry shape
     /// (`Provenance::Computed` labels itself `"computed"`, and `cycles`
@@ -262,5 +274,34 @@ mod tests {
         assert_eq!(cycles, 0);
         assert_eq!(format!("{cycles}"), "0");
         assert_eq!(simulated_cycles(""), 0);
+    }
+
+    /// The artifact is valid JSON with one ok row, one failed row and
+    /// no rows at all; a zero-time row's rate is a plain `0`.
+    #[test]
+    fn bench_json_is_valid_for_ok_failed_and_empty_rows() {
+        let row = |name, ok, wall_s, sim_cycles| Row {
+            name,
+            ok,
+            wall_s,
+            sim_cycles,
+        };
+        let cases = [
+            (
+                vec![row("fig09", true, 2.0, 1000)],
+                "\"ok\": true, \"wall_s\": 2.000, \"sim_cycles\": 1000, \"cycles_per_sec\": 500}",
+            ),
+            (
+                vec![row("fig10", false, 0.0, 0)],
+                "\"ok\": false, \"wall_s\": 0.000, \"sim_cycles\": 0, \"cycles_per_sec\": 0}",
+            ),
+            (vec![], "\"experiments\": [\n  ],"),
+        ];
+        for (rows, expect) in cases {
+            let j = bench_json(&rows, 1.5);
+            assert!(hermes_probe::validate_json(&j).is_ok(), "{j}");
+            assert!(j.contains(expect), "{j}");
+            assert!(j.ends_with("\"total_wall_s\": 1.500\n}\n"), "{j}");
+        }
     }
 }

@@ -35,8 +35,6 @@
 //! * [`run_cached`] — a single point (hits the warm cache in the common
 //!   case).
 
-pub mod micro;
-
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
