@@ -1,15 +1,17 @@
 //! Fig. 2 — distribution of ROB-blocking vs non-blocking off-chip loads
 //! and LLC MPKI, in the no-prefetching system and with Pythia.
 
-use hermes_bench::{configs, emit, f3, pct, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, pct, run_grid, Scale, Table};
 use hermes_trace::Category;
 
 fn main() {
     let scale = Scale::from_args();
     let (t0, c0) = configs::nopf();
     let (t1, c1) = configs::pythia();
-    let nopf = run_suite(t0, &c0, &scale);
-    let pythia = run_suite(t1, &c1, &scale);
+    let grid = cross(&[(t0.to_string(), c0), (t1.to_string(), c1)], &scale.suite);
+    let results = run_grid(grid, &scale);
+    let nopf = results.suite(t0, &scale.suite);
+    let pythia = results.suite(t1, &scale.suite);
 
     let mut t = Table::new(&[
         "category",
@@ -62,5 +64,6 @@ fn main() {
         "Blocking vs non-blocking off-chip loads",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -1,13 +1,14 @@
 //! Fig. 3 — average ROB-stall cycles per off-chip load and the portion
 //! removable by eliminating the on-chip cache-hierarchy access latency.
 
-use hermes_bench::{configs, emit, f3, pct, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, pct, run_grid, Scale, Table};
 use hermes_trace::Category;
 
 fn main() {
     let scale = Scale::from_args();
     let (tag, cfg) = configs::pythia();
-    let runs = run_suite(tag, &cfg, &scale);
+    let results = run_grid(cross(&[(tag.to_string(), cfg)], &scale.suite), &scale);
+    let runs = results.suite(tag, &scale.suite);
 
     let mut t = Table::new(&[
         "category",
@@ -52,5 +53,6 @@ fn main() {
         "Stall cycles caused by off-chip loads",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,31 +2,25 @@
 //! (b) combined with Bingo, SPP, MLOP, and SMS.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{configs, emit, run_suite, speedup_table, speedups, Scale};
+use hermes_bench::{configs, cross, emit, run_grid, speedup_table, speedups, Scale};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
 
-    // (a) Ideal Hermes alone, Pythia, Pythia + Ideal.
-    let (it, ic) = configs::hermes_alone('o', PredictorKind::Ideal);
+    // (a) Ideal Hermes alone, Pythia, Pythia + Ideal: (row label, tag, config).
     let (pt, pc) = configs::pythia();
-    let (pit, pic) = configs::pythia_hermes('o', PredictorKind::Ideal);
-    let rows_a = vec![
+    let rows_a: Vec<(String, (String, SystemConfig))> = vec![
         (
             "Ideal Hermes".to_string(),
-            speedups(&base, &run_suite(&it, &ic, &scale)),
+            configs::hermes_alone('o', PredictorKind::Ideal),
         ),
-        (
-            "Pythia (baseline)".to_string(),
-            speedups(&base, &run_suite(pt, &pc, &scale)),
-        ),
+        ("Pythia (baseline)".to_string(), (pt.to_string(), pc)),
         (
             "Pythia + Ideal Hermes".to_string(),
-            speedups(&base, &run_suite(&pit, &pic, &scale)),
+            configs::pythia_hermes('o', PredictorKind::Ideal),
         ),
     ];
 
@@ -37,29 +31,44 @@ fn main() {
             continue; // covered in (a)
         }
         let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
-        let tag = format!("{}-only", pf.label());
-        let alone = run_suite(&tag, &cfg, &scale);
         let cfg_h = cfg
             .clone()
             .with_hermes(HermesConfig::hermes_o(PredictorKind::Ideal));
-        let tag_h = format!("{}+idealhermes", pf.label());
-        let with_h = run_suite(&tag_h, &cfg_h, &scale);
-        rows_b.push((pf.label().to_string(), speedups(&base, &alone)));
+        rows_b.push((
+            pf.label().to_string(),
+            (format!("{}-only", pf.label()), cfg),
+        ));
         rows_b.push((
             format!("{} + Ideal Hermes", pf.label()),
-            speedups(&base, &with_h),
+            (format!("{}+idealhermes", pf.label()), cfg_h),
         ));
     }
 
+    let mut grid = vec![(bt.to_string(), bc)];
+    grid.extend(rows_a.iter().chain(&rows_b).map(|(_, point)| point.clone()));
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
+    let table = |rows: &[(String, (String, SystemConfig))]| {
+        let rows: Vec<_> = rows
+            .iter()
+            .map(|(label, (tag, _))| {
+                let runs = results.suite(tag, &scale.suite);
+                (label.clone(), speedups(&base, &runs))
+            })
+            .collect();
+        speedup_table(&rows)
+    };
+
     let body = format!(
         "### (a) Ideal Hermes with the baseline prefetcher\n\n{}\n### (b) Ideal Hermes with other prefetchers\n\n{}",
-        speedup_table(&rows_a),
-        speedup_table(&rows_b),
+        table(&rows_a),
+        table(&rows_b),
     );
     emit(
         "fig04",
         "Potential performance of Ideal Hermes (speedup vs no-prefetching)",
         &body,
         &scale,
+        &results,
     );
 }

@@ -1,13 +1,14 @@
 //! Fig. 5 — fraction of loads that go off-chip and LLC MPKI in the
 //! baseline system with Pythia.
 
-use hermes_bench::{configs, emit, f3, pct, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, pct, run_grid, Scale, Table};
 use hermes_trace::Category;
 
 fn main() {
     let scale = Scale::from_args();
     let (tag, cfg) = configs::pythia();
-    let runs = run_suite(tag, &cfg, &scale);
+    let results = run_grid(cross(&[(tag.to_string(), cfg)], &scale.suite), &scale);
+    let runs = results.suite(tag, &scale.suite);
 
     let mut t = Table::new(&["category", "off-chip load rate", "LLC MPKI"]);
     let mut rates = Vec::new();
@@ -39,5 +40,6 @@ fn main() {
         "Off-chip load rate and LLC MPKI under Pythia",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,23 +2,30 @@
 //! passively in the baseline system with Pythia.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, pct, run_suite, Scale, Table};
+use hermes_bench::{cross, emit, pct, run_grid, Scale, Table};
 use hermes_sim::SystemConfig;
 use hermes_trace::Category;
 
 fn main() {
     let scale = Scale::from_args();
     let preds = [PredictorKind::Hmp, PredictorKind::Ttp, PredictorKind::Popet];
-    let mut results = Vec::new();
-    for pred in preds {
-        let cfg = SystemConfig::baseline_1c().with_hermes(HermesConfig::passive(pred));
-        let tag = format!("passive-{}", pred.label());
-        results.push((pred, run_suite(&tag, &cfg, &scale)));
-    }
+    let tag = |pred: PredictorKind| format!("passive-{}", pred.label());
+    let grid: Vec<(String, SystemConfig)> = preds
+        .iter()
+        .map(|&pred| {
+            let cfg = SystemConfig::baseline_1c().with_hermes(HermesConfig::passive(pred));
+            (tag(pred), cfg)
+        })
+        .collect();
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let runs_by_pred: Vec<_> = preds
+        .iter()
+        .map(|&pred| (pred, results.suite(&tag(pred), &scale.suite)))
+        .collect();
 
     let mut t = Table::new(&["category", "predictor", "accuracy", "coverage"]);
     let mut avg = Vec::new();
-    for (pred, runs) in &results {
+    for (pred, runs) in &runs_by_pred {
         let mut accs = Vec::new();
         let mut covs = Vec::new();
         for cat in Category::ALL {
@@ -70,5 +77,6 @@ fn main() {
         "Off-chip predictor accuracy and coverage",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,7 +2,7 @@
 //! with features stacked in the paper's order.
 
 use hermes::{Feature, HermesConfig, PopetConfig, PredictorKind};
-use hermes_bench::{emit, pct, run_suite, Scale, Table};
+use hermes_bench::{cross, emit, pct, run_grid, Scale, Table};
 use hermes_sim::SystemConfig;
 
 fn main() {
@@ -26,25 +26,35 @@ fn main() {
         })
         .collect();
 
+    let rows: Vec<(&String, (String, SystemConfig))> = singles
+        .iter()
+        .chain(&stacked)
+        .map(|(label, feats)| {
+            let popet = PopetConfig::with_features(feats);
+            let cfg = SystemConfig::baseline_1c()
+                .with_popet(popet)
+                .with_hermes(HermesConfig::passive(PredictorKind::Popet));
+            let tag = format!(
+                "popet-f{}",
+                feats
+                    .iter()
+                    .map(|x| format!("{:?}", x))
+                    .collect::<Vec<_>>()
+                    .join("-")
+            );
+            (label, (tag, cfg))
+        })
+        .collect();
+    let grid: Vec<_> = rows.iter().map(|(_, point)| point.clone()).collect();
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+
     let mut t = Table::new(&["feature set", "accuracy", "coverage"]);
-    for (label, feats) in singles.iter().chain(&stacked) {
-        let popet = PopetConfig::with_features(feats);
-        let cfg = SystemConfig::baseline_1c()
-            .with_popet(popet)
-            .with_hermes(HermesConfig::passive(PredictorKind::Popet));
-        let tag = format!(
-            "popet-f{}",
-            feats
-                .iter()
-                .map(|x| format!("{:?}", x))
-                .collect::<Vec<_>>()
-                .join("-")
-        );
-        let runs = run_suite(&tag, &cfg, &scale);
+    for (label, (tag, _)) in &rows {
+        let runs = results.suite(tag, &scale.suite);
         let n = runs.len() as f64;
         let acc: f64 = runs.iter().map(|(_, r)| r.accuracy).sum::<f64>() / n;
         let cov: f64 = runs.iter().map(|(_, r)| r.coverage).sum::<f64>() / n;
-        t.row(&[label.clone(), pct(acc), pct(cov)]);
+        t.row(&[label.to_string(), pct(acc), pct(cov)]);
     }
     let summary = "Shape check vs paper: individual features span a wide accuracy/coverage range, and the full five-feature POPET beats every individual feature on both metrics.";
     emit(
@@ -52,5 +62,6 @@ fn main() {
         "POPET features individually and stacked",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,21 +2,27 @@
 //! feature: no one feature wins everywhere.
 
 use hermes::{Feature, HermesConfig, PopetConfig, PredictorKind};
-use hermes_bench::{emit, pct, run_suite, Scale, Table};
+use hermes_bench::{cross, emit, pct, run_grid, Scale, Table};
 use hermes_sim::SystemConfig;
 
 fn main() {
     let scale = Scale::from_args();
     let features = Feature::SELECTED;
-    // results[f] = suite runs for that single feature.
-    let mut results = Vec::new();
-    for feat in features {
-        let cfg = SystemConfig::baseline_1c()
-            .with_popet(PopetConfig::with_features(&[feat]))
-            .with_hermes(HermesConfig::passive(PredictorKind::Popet));
-        let tag = format!("popet-f{:?}", feat);
-        results.push(run_suite(&tag, &cfg, &scale));
-    }
+    let grid: Vec<(String, SystemConfig)> = features
+        .iter()
+        .map(|&feat| {
+            let cfg = SystemConfig::baseline_1c()
+                .with_popet(PopetConfig::with_features(&[feat]))
+                .with_hermes(HermesConfig::passive(PredictorKind::Popet));
+            (format!("popet-f{:?}", feat), cfg)
+        })
+        .collect();
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    // runs[f] = suite runs for that single feature.
+    let runs: Vec<_> = grid
+        .iter()
+        .map(|(tag, _)| results.suite(tag, &scale.suite))
+        .collect();
 
     let mut hdr: Vec<String> = vec!["trace".to_string()];
     hdr.extend(features.iter().map(|f| format!("{} acc/cov", f.label())));
@@ -25,13 +31,13 @@ fn main() {
     let mut t = Table::new(&hdr_refs);
 
     let mut wins = vec![0usize; features.len()];
-    for (i, (spec, _)) in results[0].iter().enumerate() {
+    for (i, (spec, _)) in runs[0].iter().enumerate() {
         let mut cells = vec![spec.name.clone()];
         let mut best = 0;
-        for (fi, runs) in results.iter().enumerate() {
-            let r = &runs[i].1;
+        for (fi, feat_runs) in runs.iter().enumerate() {
+            let r = &feat_runs[i].1;
             cells.push(format!("{}/{}", pct(r.accuracy), pct(r.coverage)));
-            if r.accuracy > results[best][i].1.accuracy {
+            if r.accuracy > runs[best][i].1.accuracy {
                 best = fi;
             }
         }
@@ -51,5 +57,6 @@ fn main() {
         "Per-trace single-feature accuracy/coverage",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,15 +2,12 @@
 //! Pythia + Hermes-P/O, normalized to no-prefetching.
 
 use hermes::PredictorKind;
-use hermes_bench::{configs, emit, run_suite, speedup_table, speedups, Scale};
+use hermes_bench::{configs, cross, emit, run_grid, speedup_table, speedups, Scale};
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
-
-    let mut rows = Vec::new();
-    for (label, (tag, cfg)) in [
+    let named = [
         ("Hermes-P", configs::hermes_alone('p', PredictorKind::Popet)),
         ("Hermes-O", configs::hermes_alone('o', PredictorKind::Popet)),
         ("Pythia (baseline)", {
@@ -25,10 +22,18 @@ fn main() {
             "Pythia + Hermes-O",
             configs::pythia_hermes('o', PredictorKind::Popet),
         ),
-    ] {
-        let runs = run_suite(&tag, &cfg, &scale);
-        rows.push((label.to_string(), speedups(&base, &runs)));
-    }
+    ];
+    let mut grid = vec![(bt.to_string(), bc)];
+    grid.extend(named.iter().map(|(_, point)| point.clone()));
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
+    let rows: Vec<_> = named
+        .iter()
+        .map(|(label, (tag, _))| {
+            let runs = results.suite(tag, &scale.suite);
+            (label.to_string(), speedups(&base, &runs))
+        })
+        .collect();
     let geo = |r: &Vec<(hermes_trace::Category, f64)>| {
         hermes_types::geomean(&r.iter().map(|&(_, v)| v).collect::<Vec<_>>())
     };
@@ -41,5 +46,6 @@ fn main() {
         "Single-core speedup",
         &format!("{}\n{}", speedup_table(&rows), summary),
         &scale,
+        &results,
     );
 }

@@ -3,18 +3,25 @@
 //! speedup.
 
 use hermes::PredictorKind;
-use hermes_bench::{configs, emit, f3, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
     let (ht, hc) = configs::hermes_alone('o', PredictorKind::Popet);
-    let hermes = run_suite(&ht, &hc, &scale);
     let (pt, pc) = configs::pythia();
-    let pythia = run_suite(pt, &pc, &scale);
     let (ct, cc) = configs::pythia_hermes('o', PredictorKind::Popet);
-    let combo = run_suite(&ct, &cc, &scale);
+    let grid = [
+        (bt.to_string(), bc),
+        (ht.clone(), hc),
+        (pt.to_string(), pc),
+        (ct.clone(), cc),
+    ];
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
+    let hermes = results.suite(&ht, &scale.suite);
+    let pythia = results.suite(pt, &scale.suite);
+    let combo = results.suite(&ct, &scale.suite);
 
     let mut rows: Vec<(String, f64, f64, f64)> = base
         .iter()
@@ -59,5 +66,6 @@ fn main() {
         "Per-trace speedups (sorted)",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

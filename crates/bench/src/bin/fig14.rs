@@ -2,29 +2,33 @@
 //! and the Ideal oracle, all combined with Pythia.
 
 use hermes::PredictorKind;
-use hermes_bench::{configs, emit, run_suite, speedup_table, speedups, Scale};
+use hermes_bench::{configs, cross, emit, run_grid, speedup_table, speedups, Scale};
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
-
-    let mut rows = Vec::new();
     let (pt, pc) = configs::pythia();
-    rows.push((
-        "Pythia (baseline)".to_string(),
-        speedups(&base, &run_suite(pt, &pc, &scale)),
-    ));
+    let mut named = vec![("Pythia (baseline)".to_string(), (pt.to_string(), pc))];
     for pred in [
         PredictorKind::Hmp,
         PredictorKind::Ttp,
         PredictorKind::Popet,
         PredictorKind::Ideal,
     ] {
-        let (tag, cfg) = configs::pythia_hermes('o', pred);
         let label = format!("Pythia + Hermes-{}", pred.label());
-        rows.push((label, speedups(&base, &run_suite(&tag, &cfg, &scale))));
+        named.push((label, configs::pythia_hermes('o', pred)));
     }
+    let mut grid = vec![(bt.to_string(), bc)];
+    grid.extend(named.iter().map(|(_, point)| point.clone()));
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
+    let rows: Vec<_> = named
+        .iter()
+        .map(|(label, (tag, _))| {
+            let runs = results.suite(tag, &scale.suite);
+            (label.clone(), speedups(&base, &runs))
+        })
+        .collect();
     let geo = |r: &Vec<(hermes_trace::Category, f64)>| {
         hermes_types::geomean(&r.iter().map(|&(_, v)| v).collect::<Vec<_>>())
     };
@@ -43,5 +47,6 @@ fn main() {
         "Hermes with different off-chip predictors",
         &format!("{}\n{}", speedup_table(&rows), summary),
         &scale,
+        &results,
     );
 }

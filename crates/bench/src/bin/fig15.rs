@@ -2,19 +2,26 @@
 //! (box-and-whisker distribution); (b) overhead in main-memory requests.
 
 use hermes::PredictorKind;
-use hermes_bench::{configs, emit, f3, pct, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, pct, run_grid, Scale, Table};
 use hermes_types::BoxplotSummary;
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
     let (pt, pc) = configs::pythia();
-    let pythia = run_suite(pt, &pc, &scale);
     let (ht, hc) = configs::hermes_alone('o', PredictorKind::Popet);
-    let hermes_alone = run_suite(&ht, &hc, &scale);
     let (ct, cc) = configs::pythia_hermes('o', PredictorKind::Popet);
-    let combo = run_suite(&ct, &cc, &scale);
+    let grid = [
+        (bt.to_string(), bc),
+        (pt.to_string(), pc),
+        (ht.clone(), hc),
+        (ct.clone(), cc),
+    ];
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
+    let pythia = results.suite(pt, &scale.suite);
+    let hermes_alone = results.suite(&ht, &scale.suite);
+    let combo = results.suite(&ct, &scale.suite);
 
     // (a) Per-trace stall-cycle reduction of Pythia+Hermes over Pythia.
     let reductions: Vec<f64> = pythia
@@ -77,5 +84,6 @@ fn main() {
         "Stall-cycle reduction and memory-request overhead",
         &body,
         &scale,
+        &results,
     );
 }

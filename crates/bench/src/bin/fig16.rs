@@ -5,7 +5,7 @@
 //! category-diverse subsample, plus heterogeneous MIX runs, as in §7.1.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, prewarm, run_cached, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
@@ -37,17 +37,14 @@ fn main() {
         ),
     ];
 
-    // Batch-simulate the whole grid up front (the engine dedups and runs
-    // it across all workers); the loop below then reads the warm cache
-    // through the same `points` entries, so the keys can't drift apart.
     let points: Vec<(String, SystemConfig)> = configs
-        .iter()
-        .map(|(tag, cfg)| (format!("8c-{tag}"), cfg.clone()))
+        .into_iter()
+        .map(|(tag, cfg)| (format!("8c-{tag}"), cfg))
         .collect();
-    prewarm(cross(&points, &subsuite), &scale);
+    let results = run_grid(cross(&points, &subsuite), &scale);
 
     // speedups[cfg][trace]
-    let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
+    let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); points.len()];
     let mut t = Table::new(&[
         "8-core mix",
         "Pythia",
@@ -56,11 +53,10 @@ fn main() {
         "+Hermes-POPET",
     ]);
     for spec in &subsuite {
-        let mut ipcs = Vec::new();
-        for (tag, cfg) in &points {
-            let r = run_cached(tag, cfg, spec, &scale);
-            ipcs.push(r.ipc);
-        }
+        let ipcs: Vec<f64> = points
+            .iter()
+            .map(|(tag, _)| results.get(tag, spec).ipc)
+            .collect();
         for (i, ipc) in ipcs.iter().enumerate() {
             per_cfg[i].push(ipc / ipcs[0]);
         }
@@ -91,5 +87,6 @@ fn main() {
         "Eight-core speedups",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

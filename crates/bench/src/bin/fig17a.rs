@@ -2,7 +2,7 @@
 //! Hermes alone, Pythia, and Pythia + Hermes.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, prewarm, run_cached, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
@@ -34,8 +34,6 @@ fn main() {
     let subsuite = scale.sweep_suite();
     let mtps_points = [200u64, 400, 800, 1600, 3200, 6400, 12800];
 
-    // Whole sweep grid up front: the engine dedups shared baselines and
-    // fans the unique points out across all workers.
     let mut grid: Vec<(String, SystemConfig)> = Vec::new();
     for mtps in mtps_points {
         grid.push((format!("mtps{mtps}-nopf"), base_cfg(mtps)));
@@ -43,20 +41,18 @@ fn main() {
             grid.push((format!("mtps{mtps}-{tag}"), cfg));
         }
     }
-    prewarm(cross(&grid, &subsuite), &scale);
+    let results = run_grid(cross(&grid, &subsuite), &scale);
 
     let mut t = Table::new(&["MTPS", "Hermes-O", "Pythia", "Pythia+Hermes-O"]);
     let mut crossover = None;
     for mtps in mtps_points {
-        let base_cfg = base_cfg(mtps);
-        let cfgs = point_cfgs(mtps);
         let mut speedups = Vec::new();
-        for (tag, cfg) in &cfgs {
+        for (tag, _) in point_cfgs(mtps) {
             let v: Vec<f64> = subsuite
                 .iter()
                 .map(|spec| {
-                    let b = run_cached(&format!("mtps{mtps}-nopf"), &base_cfg, spec, &scale);
-                    let r = run_cached(&format!("mtps{mtps}-{tag}"), cfg, spec, &scale);
+                    let b = results.get(&format!("mtps{mtps}-nopf"), spec);
+                    let r = results.get(&format!("mtps{mtps}-{tag}"), spec);
                     r.ipc / b.ipc
                 })
                 .collect();
@@ -83,5 +79,6 @@ fn main() {
         "Sensitivity to main-memory bandwidth",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

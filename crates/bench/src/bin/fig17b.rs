@@ -2,7 +2,7 @@
 //! Bingo, SPP, MLOP, SMS): prefetcher alone vs +Hermes-P vs +Hermes-O.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{configs, emit, f3, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
@@ -10,7 +10,26 @@ use hermes_types::geomean;
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
+    // Per prefetcher: alone, +Hermes-P, +Hermes-O.
+    let point_cfgs = |pf: PrefetcherKind| {
+        let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
+        [
+            (format!("{}-only", pf.label()), cfg.clone()),
+            (
+                format!("{}+hermesP", pf.label()),
+                cfg.clone()
+                    .with_hermes(HermesConfig::hermes_p(PredictorKind::Popet)),
+            ),
+            (
+                format!("{}+hermesO", pf.label()),
+                cfg.with_hermes(HermesConfig::hermes_o(PredictorKind::Popet)),
+            ),
+        ]
+    };
+    let mut grid = vec![(bt.to_string(), bc)];
+    grid.extend(PrefetcherKind::PAPER_SET.into_iter().flat_map(point_cfgs));
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
 
     let mut t = Table::new(&[
         "prefetcher",
@@ -21,27 +40,15 @@ fn main() {
     ]);
     let mut all_positive = true;
     for pf in PrefetcherKind::PAPER_SET {
-        let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
-        let sp = |tag: &str, c: &SystemConfig| -> f64 {
-            let runs = run_suite(tag, c, &scale);
+        let [alone, p, o] = point_cfgs(pf).map(|(tag, _)| {
+            let runs = results.suite(&tag, &scale.suite);
             let v: Vec<f64> = base
                 .iter()
                 .zip(&runs)
                 .map(|((_, b), (_, x))| x.ipc / b.ipc)
                 .collect();
             geomean(&v)
-        };
-        let alone = sp(&format!("{}-only", pf.label()), &cfg);
-        let p = sp(
-            &format!("{}+hermesP", pf.label()),
-            &cfg.clone()
-                .with_hermes(HermesConfig::hermes_p(PredictorKind::Popet)),
-        );
-        let o = sp(
-            &format!("{}+hermesO", pf.label()),
-            &cfg.clone()
-                .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet)),
-        );
+        });
         if o < alone {
             all_positive = false;
         }
@@ -62,5 +69,6 @@ fn main() {
         "Hermes with different baseline prefetchers",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,12 +2,11 @@
 //! cycles).
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{configs, cross, emit, f3, prewarm, run_cached, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
 
-/// The per-latency configuration — single source for both the prewarm
-/// grid and the measurement loop, so tag and config can't drift apart.
+/// The Pythia + Hermes-O configuration at issue latency `lat`, with its tag.
 fn lat_cfg(lat: u32) -> (String, SystemConfig) {
     (
         format!("pythia+hermes-lat{lat}"),
@@ -23,19 +22,17 @@ fn main() {
     let (pt, pc) = configs::pythia();
     let lats = [0u32, 3, 6, 9, 12, 15, 18, 21, 24];
 
-    // Batch-simulate every point before the measurement loops.
-    let mut grid: Vec<(String, SystemConfig)> =
-        vec![(bt.to_string(), bc.clone()), (pt.to_string(), pc.clone())];
+    let mut grid: Vec<(String, SystemConfig)> = vec![(bt.to_string(), bc), (pt.to_string(), pc)];
     grid.extend(lats.iter().map(|&lat| lat_cfg(lat)));
-    prewarm(cross(&grid, &subsuite), &scale);
+    let results = run_grid(cross(&grid, &subsuite), &scale);
+    let speedups = |tag: &str| -> Vec<f64> {
+        subsuite
+            .iter()
+            .map(|spec| results.get(tag, spec).ipc / results.get(bt, spec).ipc)
+            .collect()
+    };
 
-    let pythia_sp: Vec<f64> = subsuite
-        .iter()
-        .map(|spec| {
-            let b = run_cached(bt, &bc, spec, &scale);
-            run_cached(pt, &pc, spec, &scale).ipc / b.ipc
-        })
-        .collect();
+    let pythia_sp = speedups(pt);
 
     let mut t = Table::new(&[
         "issue latency (cycles)",
@@ -45,15 +42,7 @@ fn main() {
     let mut prev = f64::INFINITY;
     let mut monotone_non_increasing = true;
     for lat in lats {
-        let (tag, cfg) = lat_cfg(lat);
-        let v: Vec<f64> = subsuite
-            .iter()
-            .map(|spec| {
-                let b = run_cached(bt, &bc, spec, &scale);
-                run_cached(&tag, &cfg, spec, &scale).ipc / b.ipc
-            })
-            .collect();
-        let sp = geomean(&v);
+        let sp = geomean(&speedups(&lat_cfg(lat).0));
         if sp > prev + 0.003 {
             monotone_non_increasing = false;
         }
@@ -74,5 +63,6 @@ fn main() {
         "Sensitivity to Hermes request issue latency",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,15 +2,14 @@
 //! (total 40 → 65 cycles; L1/L2 fixed, LLC latency varied).
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, prewarm, run_cached, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
 
 /// One latency point's configurations, in `[baseline, Pythia,
-/// Pythia+Hermes-P, Pythia+Hermes-O]` order. Single source for both the
-/// prewarm grid and the measurement loop, so the tags can't drift apart.
-/// `total` is the load-to-use LLC latency; L1 (5) + L2 (10) stay fixed.
+/// Pythia+Hermes-P, Pythia+Hermes-O]` order. `total` is the load-to-use
+/// LLC latency; L1 (5) + L2 (10) stay fixed.
 fn point_cfgs(total: u32) -> [(String, SystemConfig); 4] {
     let llc_lat = total - 15;
     [
@@ -45,10 +44,9 @@ fn main() {
 
     let totals = [40u32, 45, 50, 55, 60, 65];
 
-    // Batch-simulate the whole latency sweep before the measurement loop.
     let grid: Vec<(String, SystemConfig)> =
         totals.iter().flat_map(|&total| point_cfgs(total)).collect();
-    prewarm(cross(&grid, &subsuite), &scale);
+    let results = run_grid(cross(&grid, &subsuite), &scale);
 
     let mut t = Table::new(&[
         "hierarchy latency",
@@ -60,13 +58,10 @@ fn main() {
     let mut gains = Vec::new();
     for total in totals {
         let [base, p_cfg, hp_cfg, ho_cfg] = point_cfgs(total);
-        let sp = |(tag, cfg): &(String, SystemConfig)| -> f64 {
+        let sp = |(tag, _): &(String, SystemConfig)| -> f64 {
             let v: Vec<f64> = subsuite
                 .iter()
-                .map(|spec| {
-                    let b = run_cached(&base.0, &base.1, spec, &scale);
-                    run_cached(tag, cfg, spec, &scale).ipc / b.ipc
-                })
+                .map(|spec| results.get(tag, spec).ipc / results.get(&base.0, spec).ipc)
                 .collect();
             geomean(&v)
         };
@@ -92,5 +87,6 @@ fn main() {
         "Sensitivity to cache-hierarchy access latency",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,13 +2,11 @@
 //! combination, normalized to the no-prefetching system.
 
 use hermes::PredictorKind;
-use hermes_bench::{configs, emit, f3, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
-
     let named = [
         ("Hermes-O", configs::hermes_alone('o', PredictorKind::Popet)),
         ("Pythia", {
@@ -20,6 +18,11 @@ fn main() {
             configs::pythia_hermes('o', PredictorKind::Popet),
         ),
     ];
+    let mut grid = vec![(bt.to_string(), bc)];
+    grid.extend(named.iter().map(|(_, point)| point.clone()));
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
+
     let mut t = Table::new(&[
         "config",
         "normalized dynamic power",
@@ -28,8 +31,8 @@ fn main() {
         "metadata share",
     ]);
     let mut summary_vals = Vec::new();
-    for (label, (tag, cfg)) in named {
-        let runs = run_suite(&tag, &cfg, &scale);
+    for (label, (tag, _)) in named {
+        let runs = results.suite(&tag, &scale.suite);
         // Normalized power = (energy / cycles) vs baseline, averaged.
         let ratios: Vec<f64> = base
             .iter()
@@ -61,5 +64,6 @@ fn main() {
         "Normalized dynamic power",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

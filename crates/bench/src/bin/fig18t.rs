@@ -2,7 +2,7 @@
 //! POPET's accuracy/coverage and Hermes' speedup.
 
 use hermes::{HermesConfig, PopetConfig, PredictorKind};
-use hermes_bench::{configs, cross, emit, f3, pct, prewarm, run_cached, Scale, Table};
+use hermes_bench::{configs, cross, emit, f3, pct, run_grid, Scale, Table};
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
 
@@ -11,31 +11,27 @@ fn main() {
     let subsuite = scale.sweep_suite();
 
     let taus: Vec<i32> = (-38..=2).step_by(4).collect();
-    let tau_cfg = |tau: i32| {
-        SystemConfig::baseline_1c()
-            .with_popet(PopetConfig::paper().with_tau_act(tau))
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet))
-    };
-
-    // Batch-simulate the whole τ_act sweep before the measurement loop.
+    let tau_tag = |tau: i32| format!("pythia+hermes-tau{tau}");
     let (bt, bc) = configs::nopf();
-    let mut grid: Vec<(String, SystemConfig)> = vec![(bt.to_string(), bc.clone())];
+    let mut grid: Vec<(String, SystemConfig)> = vec![(bt.to_string(), bc)];
     for &tau in &taus {
-        grid.push((format!("pythia+hermes-tau{tau}"), tau_cfg(tau)));
+        let cfg = SystemConfig::baseline_1c()
+            .with_popet(PopetConfig::paper().with_tau_act(tau))
+            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
+        grid.push((tau_tag(tau), cfg));
     }
-    prewarm(cross(&grid, &subsuite), &scale);
+    let results = run_grid(cross(&grid, &subsuite), &scale);
 
     let mut t = Table::new(&["tau_act", "accuracy", "coverage", "Pythia+Hermes speedup"]);
     let mut accs = Vec::new();
     let mut covs = Vec::new();
     for &tau in &taus {
-        let cfg = tau_cfg(tau);
         let mut acc = Vec::new();
         let mut cov = Vec::new();
         let mut sp = Vec::new();
         for spec in &subsuite {
-            let b = run_cached(bt, &bc, spec, &scale);
-            let r = run_cached(&format!("pythia+hermes-tau{tau}"), &cfg, spec, &scale);
+            let b = results.get(bt, spec);
+            let r = results.get(&tau_tag(tau), spec);
             acc.push(r.accuracy);
             cov.push(r.coverage);
             sp.push(r.ipc / b.ipc);
@@ -59,5 +55,6 @@ fn main() {
         "Activation-threshold sweep",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

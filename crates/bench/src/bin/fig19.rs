@@ -1,14 +1,13 @@
 //! Fig. 19 (Appendix B.1) — sensitivity to ROB size (256 → 1024).
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, prewarm, run_cached, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
 
 /// One ROB point's configurations, in `[baseline, Hermes-alone, Pythia,
-/// Pythia+Hermes-O]` order. Single source for both the prewarm grid and
-/// the measurement loop, so the tags can't drift apart.
+/// Pythia+Hermes-O]` order.
 fn point_cfgs(rob: usize) -> [(String, SystemConfig); 4] {
     let nopf = SystemConfig::baseline_1c()
         .with_rob(rob)
@@ -38,9 +37,8 @@ fn main() {
 
     let robs = [256usize, 512, 768, 1024];
 
-    // Batch-simulate the whole ROB sweep before the measurement loop.
     let grid: Vec<(String, SystemConfig)> = robs.iter().flat_map(|&rob| point_cfgs(rob)).collect();
-    prewarm(cross(&grid, &subsuite), &scale);
+    let results = run_grid(cross(&grid, &subsuite), &scale);
 
     let mut t = Table::new(&[
         "ROB",
@@ -52,13 +50,10 @@ fn main() {
     let mut gains = Vec::new();
     for rob in robs {
         let [base, hermes_alone, pythia, combo] = point_cfgs(rob);
-        let sp = |(tag, cfg): &(String, SystemConfig)| -> f64 {
+        let sp = |(tag, _): &(String, SystemConfig)| -> f64 {
             let v: Vec<f64> = subsuite
                 .iter()
-                .map(|spec| {
-                    let b = run_cached(&base.0, &base.1, spec, &scale);
-                    run_cached(tag, cfg, spec, &scale).ipc / b.ipc
-                })
+                .map(|spec| results.get(tag, spec).ipc / results.get(&base.0, spec).ipc)
                 .collect();
             geomean(&v)
         };
@@ -84,5 +79,6 @@ fn main() {
         "Sensitivity to ROB size",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

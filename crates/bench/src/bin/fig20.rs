@@ -1,14 +1,13 @@
 //! Fig. 20 (Appendix B.2) — sensitivity to LLC size (3 → 24 MB per core).
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, prewarm, run_cached, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 use hermes_types::geomean;
 
 /// One LLC-size point's configurations, in `[baseline, Hermes-alone,
-/// Pythia, Pythia+Hermes-O]` order. Single source for both the prewarm
-/// grid and the measurement loop, so the tags can't drift apart.
+/// Pythia, Pythia+Hermes-O]` order.
 fn point_cfgs(mb: u64) -> [(String, SystemConfig); 4] {
     let size = mb << 20;
     let nopf = SystemConfig::baseline_1c()
@@ -39,9 +38,8 @@ fn main() {
 
     let mbs = [3u64, 6, 12, 24];
 
-    // Batch-simulate the whole LLC-size sweep before the measurement loop.
     let grid: Vec<(String, SystemConfig)> = mbs.iter().flat_map(|&mb| point_cfgs(mb)).collect();
-    prewarm(cross(&grid, &subsuite), &scale);
+    let results = run_grid(cross(&grid, &subsuite), &scale);
 
     let mut t = Table::new(&[
         "LLC MB/core",
@@ -53,13 +51,10 @@ fn main() {
     let mut gains = Vec::new();
     for mb in mbs {
         let [base, hermes_alone, pythia, combo] = point_cfgs(mb);
-        let sp = |(tag, cfg): &(String, SystemConfig)| -> f64 {
+        let sp = |(tag, _): &(String, SystemConfig)| -> f64 {
             let v: Vec<f64> = subsuite
                 .iter()
-                .map(|spec| {
-                    let b = run_cached(&base.0, &base.1, spec, &scale);
-                    run_cached(tag, cfg, spec, &scale).ipc / b.ipc
-                })
+                .map(|spec| results.get(tag, spec).ipc / results.get(&base.0, spec).ipc)
                 .collect();
             geomean(&v)
         };
@@ -85,5 +80,6 @@ fn main() {
         "Sensitivity to LLC size",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

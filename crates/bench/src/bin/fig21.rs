@@ -2,24 +2,33 @@
 //! prefetcher and with no prefetcher at all.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, pct, run_suite, Scale, Table};
+use hermes_bench::{cross, emit, pct, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 
 fn main() {
     let scale = Scale::from_args();
-    let mut t = Table::new(&["system", "POPET accuracy", "POPET coverage"]);
-    let mut rows = Vec::new();
-    for pf in PrefetcherKind::PAPER_SET
+    let pfs: Vec<PrefetcherKind> = PrefetcherKind::PAPER_SET
         .iter()
         .copied()
         .chain([PrefetcherKind::None])
-    {
-        let cfg = SystemConfig::baseline_1c()
-            .with_prefetcher(pf)
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        let tag = format!("{}+hermesO-acc", pf.label());
-        let runs = run_suite(&tag, &cfg, &scale);
+        .collect();
+    let tag = |pf: PrefetcherKind| format!("{}+hermesO-acc", pf.label());
+    let grid: Vec<(String, SystemConfig)> = pfs
+        .iter()
+        .map(|&pf| {
+            let cfg = SystemConfig::baseline_1c()
+                .with_prefetcher(pf)
+                .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
+            (tag(pf), cfg)
+        })
+        .collect();
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+
+    let mut t = Table::new(&["system", "POPET accuracy", "POPET coverage"]);
+    let mut rows = Vec::new();
+    for pf in pfs {
+        let runs = results.suite(&tag(pf), &scale.suite);
         let n = runs.len() as f64;
         let acc: f64 = runs.iter().map(|(_, r)| r.accuracy).sum::<f64>() / n;
         let cov: f64 = runs.iter().map(|(_, r)| r.coverage).sum::<f64>() / n;
@@ -48,5 +57,6 @@ fn main() {
         "POPET accuracy/coverage vs baseline prefetcher",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -2,14 +2,26 @@
 //! prefetcher alone and combined with Hermes.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{configs, emit, pct, run_suite, Scale, Table};
+use hermes_bench::{configs, cross, emit, pct, run_grid, Scale, Table};
 use hermes_prefetch::PrefetcherKind;
 use hermes_sim::SystemConfig;
 
 fn main() {
     let scale = Scale::from_args();
     let (bt, bc) = configs::nopf();
-    let base = run_suite(bt, &bc, &scale);
+    let alone_tag = |pf: PrefetcherKind| format!("{}-only", pf.label());
+    let hermes_tag = |pf: PrefetcherKind| format!("{}+hermesO", pf.label());
+    let mut grid = vec![(bt.to_string(), bc)];
+    for pf in PrefetcherKind::PAPER_SET {
+        let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
+        let cfg_h = cfg
+            .clone()
+            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
+        grid.push((alone_tag(pf), cfg));
+        grid.push((hermes_tag(pf), cfg_h));
+    }
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+    let base = results.suite(bt, &scale.suite);
 
     let overhead = |runs: &[(hermes_trace::WorkloadSpec, hermes_bench::RunLite)]| -> f64 {
         hermes_types::mean(
@@ -23,14 +35,8 @@ fn main() {
 
     let mut t = Table::new(&["prefetcher", "alone", "+Hermes-O", "Hermes adds"]);
     for pf in PrefetcherKind::PAPER_SET {
-        let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
-        let alone = overhead(&run_suite(&format!("{}-only", pf.label()), &cfg, &scale));
-        let with_h = overhead(&run_suite(
-            &format!("{}+hermesO", pf.label()),
-            &cfg.clone()
-                .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet)),
-            &scale,
-        ));
+        let alone = overhead(&results.suite(&alone_tag(pf), &scale.suite));
+        let with_h = overhead(&results.suite(&hermes_tag(pf), &scale.suite));
         t.row(&[
             pf.label().to_string(),
             pct(alone),
@@ -44,5 +50,6 @@ fn main() {
         "Main-memory request overhead by prefetcher",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &results,
     );
 }

@@ -19,7 +19,7 @@
 //! `--smoke` — a CI-scale mode (2 cores, tiny windows, reduced grid).
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, f3, run_suite, speedup_table, speedups, RunLite, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, speedup_table, speedups, RunLite, Scale, Table};
 use hermes_cache::CoherenceConfig;
 use hermes_sim::SystemConfig;
 use hermes_trace::{suite, WorkloadSpec};
@@ -36,20 +36,13 @@ fn main() {
         (4, &[0, 250, 500])
     };
 
-    let mut t = Table::new(&[
-        "shared",
-        "IPC base",
-        "spd raw",
-        "spd +coh",
-        "spd +coh+filt",
-        "wasted raw",
-        "wasted +filt",
-        "prec raw",
-        "prec +coh",
-    ]);
-    let mut speedup_rows = Vec::new();
+    // Every shared fraction's tag and workloads, in table order; the ring
+    // is identical at every fraction, so its repeats share one simulation.
+    let variants = ["base", "hermesO-popet", "hermesO-coh", "hermesO-coh-filter"];
+    let mut sweep = Vec::new();
+    let mut grid = Vec::new();
     for &frac in fractions {
-        scale.suite = suite::sharing_suite(frac);
+        let specs = suite::sharing_suite(frac);
         let base_cfg = SystemConfig {
             cores,
             ..SystemConfig::baseline_1c()
@@ -67,28 +60,47 @@ fn main() {
                 .with_filter(),
         );
         let tag = format!("filt{frac}-{cores}c");
-        let base = run_suite(&format!("{tag}-base"), &base_cfg, &scale);
-        let raw = run_suite(&format!("{tag}-hermesO-popet"), &raw_cfg, &scale);
-        let coh = run_suite(&format!("{tag}-hermesO-coh"), &coh_cfg, &scale);
-        let filt = run_suite(&format!("{tag}-hermesO-coh-filter"), &filt_cfg, &scale);
+        let configs: Vec<(String, SystemConfig)> = variants
+            .iter()
+            .map(|v| format!("{tag}-{v}"))
+            .zip([base_cfg, raw_cfg, coh_cfg, filt_cfg])
+            .collect();
+        grid.extend(cross(&configs, &specs));
+        sweep.push((frac, tag, specs));
+    }
+    let results = run_grid(grid, &scale);
 
-        let gm = |rs: &[(WorkloadSpec, RunLite)]| {
-            geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
-        };
-        let mean = |rs: &[(WorkloadSpec, RunLite)], f: &dyn Fn(&RunLite) -> f64| {
-            rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
-        };
-        // Precision over the whole suite from the summed confusion
-        // matrices (a per-workload mean would overweight tiny matrices).
-        let precision = |rs: &[(WorkloadSpec, RunLite)]| {
-            let tp: f64 = rs.iter().map(|(_, r)| r.pred_tp).sum();
-            let fp: f64 = rs.iter().map(|(_, r)| r.pred_fp).sum();
-            if tp + fp == 0.0 {
-                1.0
-            } else {
-                tp / (tp + fp)
-            }
-        };
+    let gm = |rs: &[(WorkloadSpec, RunLite)]| {
+        geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
+    };
+    let mean = |rs: &[(WorkloadSpec, RunLite)], f: &dyn Fn(&RunLite) -> f64| {
+        rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
+    };
+    // Precision over the whole suite from the summed confusion
+    // matrices (a per-workload mean would overweight tiny matrices).
+    let precision = |rs: &[(WorkloadSpec, RunLite)]| {
+        let tp: f64 = rs.iter().map(|(_, r)| r.pred_tp).sum();
+        let fp: f64 = rs.iter().map(|(_, r)| r.pred_fp).sum();
+        if tp + fp == 0.0 {
+            1.0
+        } else {
+            tp / (tp + fp)
+        }
+    };
+    let mut t = Table::new(&[
+        "shared",
+        "IPC base",
+        "spd raw",
+        "spd +coh",
+        "spd +coh+filt",
+        "wasted raw",
+        "wasted +filt",
+        "prec raw",
+        "prec +coh",
+    ]);
+    let mut speedup_rows = Vec::new();
+    for (frac, tag, specs) in sweep {
+        let [base, raw, coh, filt] = variants.map(|v| results.suite(&format!("{tag}-{v}"), &specs));
         let ipc_b = gm(&base);
         t.row(&[
             format!("{:.0}%", frac as f64 / 10.0),
@@ -139,5 +151,6 @@ fn main() {
         "Coherence-aware POPET + speculative-read filter vs raw Hermes under sharing",
         &body,
         &scale,
+        &results,
     );
 }

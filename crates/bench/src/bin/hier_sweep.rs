@@ -14,7 +14,7 @@
 //! sharing on every push.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, f3, run_suite, speedup_table, speedups, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, speedup_table, speedups, Scale, Table};
 use hermes_cache::{CacheConfig, LevelConfig, ReplacementKind};
 use hermes_sim::SystemConfig;
 use hermes_trace::suite;
@@ -54,15 +54,25 @@ fn main() {
         1
     };
 
-    let mut ipc_rows = Vec::new();
-    let mut speedup_rows = Vec::new();
-    for (tag, topo) in topologies() {
-        let cfg = SystemConfig { cores, ..topo };
+    let topos: Vec<(&str, SystemConfig)> = topologies()
+        .into_iter()
+        .map(|(tag, topo)| (tag, SystemConfig { cores, ..topo }))
+        .collect();
+    let mut grid = Vec::new();
+    for (tag, cfg) in &topos {
         let hermes_cfg = cfg
             .clone()
             .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        let base_runs = run_suite(&format!("{tag}-base"), &cfg, &scale);
-        let hermes_runs = run_suite(&format!("{tag}-hermesO-popet"), &hermes_cfg, &scale);
+        grid.push((format!("{tag}-base"), cfg.clone()));
+        grid.push((format!("{tag}-hermesO-popet"), hermes_cfg));
+    }
+    let results = run_grid(cross(&grid, &scale.suite), &scale);
+
+    let mut ipc_rows = Vec::new();
+    let mut speedup_rows = Vec::new();
+    for (tag, cfg) in topos {
+        let base_runs = results.suite(&format!("{tag}-base"), &scale.suite);
+        let hermes_runs = results.suite(&format!("{tag}-hermesO-popet"), &scale.suite);
         let base_ipc = geomean(&base_runs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>());
         let hermes_ipc = geomean(&hermes_runs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>());
         ipc_rows.push((
@@ -108,5 +118,6 @@ fn main() {
         "IPC and Hermes speedup across 2/3/4-level cache topologies",
         &body,
         &scale,
+        &results,
     );
 }

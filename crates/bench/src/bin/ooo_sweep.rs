@@ -27,7 +27,7 @@
 //! `--smoke` — a CI-scale mode (tiny windows, two points per axis).
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, f3, run_suite, RunLite, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, RunLite, Scale, Table};
 use hermes_cpu::{CoreModel, OooConfig};
 use hermes_sim::SystemConfig;
 use hermes_trace::suite::{Category, GenConfig};
@@ -65,6 +65,41 @@ fn main() {
         rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
     };
 
+    const LSQ_ROB: usize = 256;
+    let ooo = |rob: usize| {
+        SystemConfig::baseline_1c()
+            .with_rob(rob)
+            .with_core_model(CoreModel::OoO(OooConfig::baseline()))
+    };
+    let hermes = |cfg: &SystemConfig, pred: PredictorKind| {
+        cfg.clone().with_hermes(HermesConfig::hermes_o(pred))
+    };
+    let mut configs = Vec::new();
+    for &rob in robs {
+        let base_cfg = ooo(rob);
+        let tag = format!("ooo-rob{rob}");
+        configs.push((format!("{tag}-base"), base_cfg.clone()));
+        configs.push((
+            format!("{tag}-hermesO-popet"),
+            hermes(&base_cfg, PredictorKind::Popet),
+        ));
+        configs.push((
+            format!("{tag}-hermesO-ideal"),
+            hermes(&base_cfg, PredictorKind::Ideal),
+        ));
+    }
+    for &(lq, sq) in lsqs {
+        let base_cfg = ooo(LSQ_ROB).with_lq(lq).with_sq(sq);
+        let tag = format!("ooo-lsq{lq}x{sq}");
+        configs.push((format!("{tag}-base"), base_cfg.clone()));
+        configs.push((
+            format!("{tag}-hermesO-popet"),
+            hermes(&base_cfg, PredictorKind::Popet),
+        ));
+    }
+    let results = run_grid(cross(&configs, &scale.suite), &scale);
+    let runs = |tag: String| results.suite(&tag, &scale.suite);
+
     let mut t = Table::new(&[
         "ROB",
         "IPC base",
@@ -76,20 +111,9 @@ fn main() {
     ]);
     let mut curve = Vec::new();
     for &rob in robs {
-        let base_cfg = SystemConfig::baseline_1c()
-            .with_rob(rob)
-            .with_core_model(CoreModel::OoO(OooConfig::baseline()));
-        let popet_cfg = base_cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        let ideal_cfg = base_cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Ideal));
-
-        let tag = format!("ooo-rob{rob}");
-        let base = run_suite(&format!("{tag}-base"), &base_cfg, &scale);
-        let popet = run_suite(&format!("{tag}-hermesO-popet"), &popet_cfg, &scale);
-        let ideal = run_suite(&format!("{tag}-hermesO-ideal"), &ideal_cfg, &scale);
+        let base = runs(format!("ooo-rob{rob}-base"));
+        let popet = runs(format!("ooo-rob{rob}-hermesO-popet"));
+        let ideal = runs(format!("ooo-rob{rob}-hermesO-ideal"));
 
         let ipc_b = gm(&base);
         let sp_p = gm(&popet) / ipc_b;
@@ -110,21 +134,11 @@ fn main() {
         ]);
     }
 
-    const LSQ_ROB: usize = 256;
     let mut lt = Table::new(&["LQ/SQ", "IPC base", "spd POPET", "lsq stalls", "fwd loads"]);
     let mut lsq_curve = Vec::new();
     for &(lq, sq) in lsqs {
-        let base_cfg = SystemConfig::baseline_1c()
-            .with_rob(LSQ_ROB)
-            .with_lq(lq)
-            .with_sq(sq)
-            .with_core_model(CoreModel::OoO(OooConfig::baseline()));
-        let popet_cfg = base_cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        let tag = format!("ooo-lsq{lq}x{sq}");
-        let base = run_suite(&format!("{tag}-base"), &base_cfg, &scale);
-        let popet = run_suite(&format!("{tag}-hermesO-popet"), &popet_cfg, &scale);
+        let base = runs(format!("ooo-lsq{lq}x{sq}-base"));
+        let popet = runs(format!("ooo-lsq{lq}x{sq}-hermesO-popet"));
         let ipc_b = gm(&base);
         let sp_p = gm(&popet) / ipc_b;
         lsq_curve.push((lq, sq, ipc_b, sp_p));
@@ -197,5 +211,6 @@ fn main() {
         "Hermes on the out-of-order core: speedup vs ROB depth and LSQ size",
         &body,
         &scale,
+        &results,
     );
 }

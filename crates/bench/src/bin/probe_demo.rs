@@ -26,7 +26,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, f3, Scale, Table};
+use hermes_bench::{emit, f3, Results, Scale, Table};
 use hermes_probe::{validate_json, LatClass, ProbeConfig};
 use hermes_sim::system::run_one;
 use hermes_sim::SystemConfig;
@@ -135,6 +135,7 @@ fn main() {
         "Observability probe: lifecycle traces, interval timeline, latency histograms",
         &body,
         &scale,
+        &Results::default(),
     );
 
     if !failures.is_empty() {

@@ -16,10 +16,10 @@
 //! proving nonzero invalidation traffic on every push.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, f3, run_suite, speedup_table, speedups, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, speedup_table, speedups, RunLite, Scale, Table};
 use hermes_cache::CoherenceConfig;
 use hermes_sim::SystemConfig;
-use hermes_trace::suite;
+use hermes_trace::{suite, WorkloadSpec};
 use hermes_types::geomean;
 
 fn main() {
@@ -33,6 +33,39 @@ fn main() {
         (&[2, 4], &[0, 250, 500])
     };
 
+    // Every (cores, shared fraction) point's tag and workloads, in table
+    // order; the ring is identical at every fraction, so its repeats share
+    // one simulation.
+    let mut sweep = Vec::new();
+    let mut grid = Vec::new();
+    for &cores in core_counts {
+        for &frac in fractions {
+            let specs = suite::sharing_suite(frac);
+            let cfg = SystemConfig {
+                cores,
+                ..SystemConfig::baseline_1c()
+            }
+            .with_coherence(CoherenceConfig::baseline());
+            let hermes_cfg = cfg
+                .clone()
+                .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
+            let tag = format!("share{frac}-{cores}c");
+            let configs = [
+                (format!("{tag}-base"), cfg),
+                (format!("{tag}-hermesO-popet"), hermes_cfg),
+            ];
+            grid.extend(cross(&configs, &specs));
+            sweep.push((cores, frac, tag, specs));
+        }
+    }
+    let results = run_grid(grid, &scale);
+
+    let gm = |rs: &[(WorkloadSpec, RunLite)]| {
+        geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
+    };
+    let mean = |rs: &[(WorkloadSpec, RunLite)], f: &dyn Fn(&RunLite) -> f64| {
+        rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
+    };
     let mut t = Table::new(&[
         "cores",
         "shared",
@@ -44,40 +77,21 @@ fn main() {
         "speedup",
     ]);
     let mut speedup_rows = Vec::new();
-    for &cores in core_counts {
-        for &frac in fractions {
-            scale.suite = suite::sharing_suite(frac);
-            let cfg = SystemConfig {
-                cores,
-                ..SystemConfig::baseline_1c()
-            }
-            .with_coherence(CoherenceConfig::baseline());
-            let hermes_cfg = cfg
-                .clone()
-                .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-            let tag = format!("share{frac}-{cores}c");
-            let base = run_suite(&format!("{tag}-base"), &cfg, &scale);
-            let herm = run_suite(&format!("{tag}-hermesO-popet"), &hermes_cfg, &scale);
-            let gm = |rs: &[(hermes_trace::WorkloadSpec, hermes_bench::RunLite)]| {
-                geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
-            };
-            let mean = |rs: &[(hermes_trace::WorkloadSpec, hermes_bench::RunLite)],
-                        f: &dyn Fn(&hermes_bench::RunLite) -> f64| {
-                rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
-            };
-            let (ipc_b, ipc_h) = (gm(&base), gm(&herm));
-            t.row(&[
-                cores.to_string(),
-                format!("{:.0}%", frac as f64 / 10.0),
-                f3(mean(&base, &|r| r.coh_invalidations)),
-                f3(mean(&base, &|r| r.coh_dirty_forwards)),
-                f3(mean(&base, &|r| r.coh_upgrades)),
-                f3(ipc_b),
-                f3(ipc_h),
-                f3(ipc_h / ipc_b),
-            ]);
-            speedup_rows.push((tag, speedups(&base, &herm)));
-        }
+    for (cores, frac, tag, specs) in sweep {
+        let base = results.suite(&format!("{tag}-base"), &specs);
+        let herm = results.suite(&format!("{tag}-hermesO-popet"), &specs);
+        let (ipc_b, ipc_h) = (gm(&base), gm(&herm));
+        t.row(&[
+            cores.to_string(),
+            format!("{:.0}%", frac as f64 / 10.0),
+            f3(mean(&base, &|r| r.coh_invalidations)),
+            f3(mean(&base, &|r| r.coh_dirty_forwards)),
+            f3(mean(&base, &|r| r.coh_upgrades)),
+            f3(ipc_b),
+            f3(ipc_h),
+            f3(ipc_h / ipc_b),
+        ]);
+        speedup_rows.push((tag, speedups(&base, &herm)));
     }
 
     let body = format!(
@@ -103,5 +117,6 @@ fn main() {
         "Hermes under inter-core sharing (MESI coherence, shared fraction x cores)",
         &body,
         &scale,
+        &results,
     );
 }

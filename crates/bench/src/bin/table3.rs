@@ -3,7 +3,7 @@
 
 use hermes::storage;
 use hermes::PopetConfig;
-use hermes_bench::{emit, Scale, Table};
+use hermes_bench::{emit, Results, Scale, Table};
 
 fn main() {
     let scale = Scale::from_args();
@@ -33,5 +33,6 @@ fn main() {
         "Hermes storage overhead",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &Results::default(),
     );
 }

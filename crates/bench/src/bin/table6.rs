@@ -2,7 +2,7 @@
 //! the live structures.
 
 use hermes::storage;
-use hermes_bench::{emit, Scale, Table};
+use hermes_bench::{emit, Results, Scale, Table};
 use hermes_prefetch::{build, PrefetcherKind};
 
 fn main() {
@@ -32,5 +32,6 @@ fn main() {
         "Storage overhead of all mechanisms",
         &format!("{}\n{}", t.to_markdown(), summary),
         &scale,
+        &Results::default(),
     );
 }

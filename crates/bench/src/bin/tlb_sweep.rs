@@ -14,9 +14,9 @@
 //! reduced grid) exercising multicore translation sharing on every push.
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{emit, f3, run_suite, speedup_table, speedups, Scale, Table};
+use hermes_bench::{cross, emit, f3, run_grid, speedup_table, speedups, RunLite, Scale, Table};
 use hermes_sim::SystemConfig;
-use hermes_trace::suite;
+use hermes_trace::{suite, WorkloadSpec};
 use hermes_types::geomean;
 use hermes_vm::{TlbConfig, VmConfig};
 
@@ -55,6 +55,29 @@ fn main() {
         }
     }
 
+    let mut configs = Vec::new();
+    for (tag, _, _, vm) in &grid {
+        let mut cfg = SystemConfig {
+            cores,
+            ..SystemConfig::baseline_1c()
+        };
+        if let Some(vm) = vm {
+            cfg = cfg.with_vm(vm.clone());
+        }
+        let hermes_cfg = cfg
+            .clone()
+            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
+        configs.push((format!("tlb-{tag}-base"), cfg));
+        configs.push((format!("tlb-{tag}-hermesO-popet"), hermes_cfg));
+    }
+    let results = run_grid(cross(&configs, &scale.suite), &scale);
+
+    let gm = |rs: &[(WorkloadSpec, RunLite)], f: &dyn Fn(&RunLite) -> f64| {
+        geomean(&rs.iter().map(|(_, r)| f(r)).collect::<Vec<_>>())
+    };
+    let mean = |rs: &[(WorkloadSpec, RunLite)], f: &dyn Fn(&RunLite) -> f64| {
+        rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
+    };
     let mut t = Table::new(&[
         "config",
         "dTLB",
@@ -67,27 +90,9 @@ fn main() {
         "speedup",
     ]);
     let mut speedup_rows = Vec::new();
-    for (tag, dtlb, pages, vm) in &grid {
-        let mut cfg = SystemConfig {
-            cores,
-            ..SystemConfig::baseline_1c()
-        };
-        if let Some(vm) = vm {
-            cfg = cfg.with_vm(vm.clone());
-        }
-        let hermes_cfg = cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        let base = run_suite(&format!("tlb-{tag}-base"), &cfg, &scale);
-        let herm = run_suite(&format!("tlb-{tag}-hermesO-popet"), &hermes_cfg, &scale);
-        let gm = |rs: &[(hermes_trace::WorkloadSpec, hermes_bench::RunLite)],
-                  f: &dyn Fn(&hermes_bench::RunLite) -> f64| {
-            geomean(&rs.iter().map(|(_, r)| f(r)).collect::<Vec<_>>())
-        };
-        let mean = |rs: &[(hermes_trace::WorkloadSpec, hermes_bench::RunLite)],
-                    f: &dyn Fn(&hermes_bench::RunLite) -> f64| {
-            rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
-        };
+    for (tag, dtlb, pages, _) in &grid {
+        let base = results.suite(&format!("tlb-{tag}-base"), &scale.suite);
+        let herm = results.suite(&format!("tlb-{tag}-hermesO-popet"), &scale.suite);
         let (ipc_b, ipc_h) = (gm(&base, &|r| r.ipc), gm(&herm, &|r| r.ipc));
         t.row(&[
             tag.clone(),
@@ -126,5 +131,6 @@ fn main() {
         "Hermes speedup under real address-translation pressure (TLB sizes x page sizes)",
         &body,
         &scale,
+        &results,
     );
 }

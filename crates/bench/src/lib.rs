@@ -13,31 +13,34 @@
 //!
 //! # Execution flow
 //!
-//! Since PR 2 the binaries do not run simulations directly: they submit
-//! `(configuration, trace, window)` batches to the [`hermes_exec`]
-//! engine, which deduplicates points sharing a cache key, spreads the
-//! unique ones over a work-stealing thread pool, and returns results in
-//! input order (so tables are identical at any `--jobs` level). The
-//! engine also owns the on-disk result cache — versioned under
-//! `target/expcache/v<N>/` and guarded by lock files, so concurrent
-//! binaries (and `run_all`'s children) share it safely — and every
-//! [`emit`] call writes a machine-readable run manifest to
-//! `target/experiments/<id>.json` with per-point wall time and cache
-//! provenance.
+//! The binaries do not run simulations directly. Each one declares its
+//! whole grid of `(tag, configuration, workload)` [`Point`]s, submits it
+//! to [`run_grid`] as **one** [`hermes_exec`] batch, and renders its
+//! tables from the [`Results`] that batch returns. The engine keys a
+//! point by what it simulates (trace, window, configuration contents),
+//! not by its tag, so shared baselines and relabelled repeats are
+//! simulated once; it spreads the unique points over a work-stealing
+//! thread pool and returns results in input order, so tables are
+//! identical at any `--jobs` level. [`emit`] prints the section and
+//! writes `target/experiments/<id>.json`, a manifest listing each
+//! distinct simulation once with its wall time and provenance, and
+//! counting the deduplicated points. The engine also keeps an on-disk
+//! result cache under `target/expcache/`, through which `run_all`'s
+//! children reuse each other's points; a binary never depends on it to
+//! read back the results of its own batch.
 //!
-//! Harness entry points, in decreasing granularity:
+//! Harness entry points:
 //!
-//! * [`run_suite`] — one configuration across the whole suite, in
-//!   parallel;
-//! * [`prewarm`] — batch-simulate an arbitrary `(tag, config, workload)`
-//!   grid up front so that a binary's existing per-point logic turns
-//!   into pure cache reads (used by the sweep figures);
-//! * [`run_cached`] — a single point (hits the warm cache in the common
-//!   case).
+//! * [`cross`] — every configuration × every workload, as grid points;
+//! * [`run_grid`] — simulates a grid and returns its [`Results`];
+//! * [`Results::get`] / [`Results::suite`] — one point, or one tag
+//!   across a list of workloads (the shape [`speedups`] takes);
+//! * [`emit`] — renders a section and writes its manifest.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use hermes::{HermesConfig, PredictorKind};
@@ -128,10 +131,6 @@ impl Scale {
         }
         out
     }
-
-    fn job(&self, tag: &str, cfg: &SystemConfig, spec: &WorkloadSpec) -> Job {
-        Job::new(tag, cfg.clone(), spec.clone(), self.warmup, self.instr)
-    }
 }
 
 /// Extracts `--jobs N` / `--jobs=N` from raw args (`None` if absent).
@@ -164,84 +163,19 @@ fn parse_jobs_flag(args: &[String]) -> Option<usize> {
     jobs
 }
 
-/// The process-wide engine, created on first use with the scale's worker
-/// count (one engine per binary invocation).
-fn engine(scale: &Scale) -> &'static Engine {
-    static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(|| Engine::new(scale.jobs))
-}
-
 /// Process start anchor for manifest wall times.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Engine outcomes accumulated since the last [`emit`], for the manifest.
-fn outcome_log() -> &'static Mutex<Vec<Outcome>> {
-    static LOG: OnceLock<Mutex<Vec<Outcome>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// One point of an experiment's grid: the tag that labels it in the
+/// tables, the configuration, and the workload.
+pub type Point = (String, SystemConfig, WorkloadSpec);
 
-fn record_outcomes(outs: &[Outcome]) {
-    outcome_log()
-        .lock()
-        .expect("outcome log poisoned")
-        .extend_from_slice(outs);
-}
-
-/// Runs one (configuration, workload) point with on-disk caching.
-///
-/// `tag` must uniquely describe the configuration (e.g.
-/// `"pythia+hermesO-popet"`); it becomes part of the cache key together
-/// with the trace name and window.
-pub fn run_cached(tag: &str, cfg: &SystemConfig, spec: &WorkloadSpec, scale: &Scale) -> RunLite {
-    let outs = engine(scale).run_batch(std::slice::from_ref(&scale.job(tag, cfg, spec)));
-    record_outcomes(&outs);
-    outs.into_iter().next().expect("one job in, one out").result
-}
-
-/// Runs a configuration across the whole suite — in parallel across
-/// `scale.jobs` workers — and returns (spec, result) in suite order.
-pub fn run_suite(tag: &str, cfg: &SystemConfig, scale: &Scale) -> Vec<(WorkloadSpec, RunLite)> {
-    let jobs: Vec<Job> = scale
-        .suite
-        .iter()
-        .map(|spec| scale.job(tag, cfg, spec))
-        .collect();
-    let outs = engine(scale).run_batch(&jobs);
-    record_outcomes(&outs);
-    scale
-        .suite
-        .iter()
-        .cloned()
-        .zip(outs.into_iter().map(|o| o.result))
-        .collect()
-}
-
-/// Batch-simulates an arbitrary `(tag, config, workload)` grid, warming
-/// the cache so subsequent [`run_cached`] calls are pure reads.
-///
-/// Sweep binaries build their whole grid up front, `prewarm` it (the
-/// engine dedups shared baselines and fans out across workers), and then
-/// keep their original per-point logic unchanged — output stays
-/// byte-identical to the serial version at every `--jobs` level.
-pub fn prewarm(points: Vec<(String, SystemConfig, WorkloadSpec)>, scale: &Scale) {
-    let jobs: Vec<Job> = points
-        .into_iter()
-        .map(|(tag, cfg, spec)| Job::new(tag, cfg, spec, scale.warmup, scale.instr))
-        .collect();
-    let outs = engine(scale).run_batch(&jobs);
-    record_outcomes(&outs);
-}
-
-/// Cross product helper for [`prewarm`]: every configuration × every
-/// workload.
-pub fn cross(
-    points: &[(String, SystemConfig)],
-    specs: &[WorkloadSpec],
-) -> Vec<(String, SystemConfig, WorkloadSpec)> {
-    points
+/// Every configuration × every workload, configurations outermost.
+pub fn cross(configs: &[(String, SystemConfig)], specs: &[WorkloadSpec]) -> Vec<Point> {
+    configs
         .iter()
         .flat_map(|(tag, cfg)| {
             specs
@@ -249,6 +183,72 @@ pub fn cross(
                 .map(move |spec| (tag.clone(), cfg.clone(), spec.clone()))
         })
         .collect()
+}
+
+/// The outcomes of one [`run_grid`] batch, looked up by (tag, workload).
+#[derive(Debug, Default)]
+pub struct Results {
+    outcomes: Vec<Outcome>,
+    by_label: HashMap<(String, String), usize>,
+}
+
+impl Results {
+    /// The result of the point tagged `tag` on `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid had no such point.
+    pub fn get(&self, tag: &str, spec: &WorkloadSpec) -> &RunLite {
+        let i = self
+            .by_label
+            .get(&(tag.to_string(), spec.name.clone()))
+            .unwrap_or_else(|| panic!("no grid point {tag} x {}", spec.name));
+        &self.outcomes[*i].result
+    }
+
+    /// `tag`'s results on `specs`, in `specs` order.
+    pub fn suite(&self, tag: &str, specs: &[WorkloadSpec]) -> Vec<(WorkloadSpec, RunLite)> {
+        specs
+            .iter()
+            .map(|spec| (spec.clone(), self.get(tag, spec).clone()))
+            .collect()
+    }
+}
+
+/// Simulates an experiment's whole grid as one engine batch at the
+/// scale's window, across `scale.jobs` workers.
+///
+/// # Panics
+///
+/// Panics if one (tag, workload) label names two different simulations.
+pub fn run_grid(points: Vec<Point>, scale: &Scale) -> Results {
+    run_grid_on(&Engine::new(scale.jobs), points, scale)
+}
+
+fn run_grid_on(engine: &Engine, points: Vec<Point>, scale: &Scale) -> Results {
+    let jobs: Vec<Job> = points
+        .into_iter()
+        .map(|(tag, cfg, spec)| Job::new(tag, cfg, spec, scale.warmup, scale.instr))
+        .collect();
+    let mut by_label: HashMap<(String, String), usize> = HashMap::new();
+    for (i, job) in jobs.iter().enumerate() {
+        match by_label.entry((job.tag.clone(), job.spec.name.clone())) {
+            Entry::Occupied(first) => assert_eq!(
+                jobs[*first.get()].key(),
+                job.key(),
+                "grid label {} x {} names two different simulations",
+                job.tag,
+                job.spec.name
+            ),
+            Entry::Vacant(slot) => {
+                slot.insert(i);
+            }
+        }
+    }
+    Results {
+        outcomes: engine.run_batch(&jobs),
+        by_label,
+    }
 }
 
 /// Standard named configurations used across many figures.
@@ -306,9 +306,9 @@ pub fn speedups(
 
 /// Renders a figure section: prints to stdout, optionally records it
 /// under `target/experiments/<id>.md`, and always writes the JSON run
-/// manifest `target/experiments/<id>.json` covering every simulation
-/// point obtained since the previous `emit`.
-pub fn emit(id: &str, title: &str, body: &str, scale: &Scale) {
+/// manifest `target/experiments/<id>.json` of `results` (pass
+/// `&Results::default()` for a section that simulates nothing).
+pub fn emit(id: &str, title: &str, body: &str, scale: &Scale, results: &Results) {
     let section = format!("## {id}: {title}\n\n{body}\n");
     println!("{section}");
     let dir = PathBuf::from("target/experiments");
@@ -316,8 +316,7 @@ pub fn emit(id: &str, title: &str, body: &str, scale: &Scale) {
         let _ = fs::create_dir_all(&dir);
         let _ = fs::write(dir.join(format!("{id}.md")), section);
     }
-    let outs = std::mem::take(&mut *outcome_log().lock().expect("outcome log poisoned"));
-    let manifest = Manifest::from_outcomes(id, scale.jobs, epoch().elapsed(), &outs);
+    let manifest = Manifest::from_outcomes(id, scale.jobs, epoch().elapsed(), &results.outcomes);
     match manifest.write(&dir) {
         Ok(path) => eprintln!(
             "  manifest: {} ({})",
@@ -352,6 +351,7 @@ pub fn speedup_table(rows: &[(String, Vec<(Category, f64)>)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn sweep_suite_spans_categories() {
@@ -393,6 +393,79 @@ mod tests {
         assert_eq!(parse_jobs_flag(&args(&["bin", "--jobs=7"])), Some(7));
         assert_eq!(parse_jobs_flag(&args(&["bin", "--quick"])), None);
         assert_eq!(parse_jobs_flag(&args(&["bin", "--jobs", "bogus"])), None);
+    }
+
+    /// A tiny-window scale over the first two smoke traces.
+    fn tiny_scale() -> Scale {
+        Scale {
+            warmup: 200,
+            instr: 1_000,
+            suite: suite::smoke_suite().into_iter().take(2).collect(),
+            record: false,
+            sweep_traces: 2,
+            jobs: 2,
+        }
+    }
+
+    /// An engine over a fresh cache directory under the system temp dir.
+    fn scratch_engine(name: &str) -> (Engine, PathBuf) {
+        let root =
+            std::env::temp_dir().join(format!("hermes-bench-grid-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let engine = Engine::with_cache(2, hermes_exec::ResultCache::new(&root)).quiet();
+        (engine, root)
+    }
+
+    #[test]
+    fn run_grid_reads_back_by_tag_and_workload() {
+        let scale = tiny_scale();
+        let (nopf_tag, nopf) = configs::nopf();
+        let (pythia_tag, pythia) = configs::pythia();
+        let labelled = [
+            (nopf_tag.to_string(), nopf.clone()),
+            (pythia_tag.to_string(), pythia),
+            // The baseline again under another tag: one simulation.
+            ("nopf-again".to_string(), nopf),
+        ];
+        let (engine, root) = scratch_engine("grid");
+        let results = run_grid_on(&engine, cross(&labelled, &scale.suite), &scale);
+        let (direct, direct_root) = scratch_engine("direct");
+        for (tag, cfg) in &labelled {
+            for spec in &scale.suite {
+                let job = Job::new(tag, cfg.clone(), spec.clone(), scale.warmup, scale.instr);
+                let want = &direct.run_batch(&[job])[0].result;
+                assert_eq!(results.get(tag, spec), want, "{tag} x {}", spec.name);
+            }
+            let suite = results.suite(tag, &scale.suite);
+            let names: Vec<&str> = suite.iter().map(|(s, _)| s.name.as_str()).collect();
+            let want: Vec<&str> = scale.suite.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, want, "suite() keeps the order it is asked for");
+        }
+        let manifest = Manifest::from_outcomes("grid", 2, Duration::ZERO, &results.outcomes);
+        assert_eq!(manifest.entries.len(), 2 * scale.suite.len());
+        assert_eq!(
+            manifest.count(hermes_exec::Provenance::Deduped),
+            scale.suite.len()
+        );
+        let _ = fs::remove_dir_all(root);
+        let _ = fs::remove_dir_all(direct_root);
+    }
+
+    #[test]
+    #[should_panic(expected = "names two different simulations")]
+    fn run_grid_rejects_a_label_reused_for_another_config() {
+        let scale = tiny_scale();
+        let spec = scale.suite[0].clone();
+        let grid = vec![
+            ("a".to_string(), SystemConfig::baseline_1c(), spec.clone()),
+            (
+                "a".to_string(),
+                SystemConfig::baseline_1c().with_rob(1024),
+                spec,
+            ),
+        ];
+        let (engine, _) = scratch_engine("reused-label");
+        run_grid_on(&engine, grid, &scale);
     }
 
     #[test]

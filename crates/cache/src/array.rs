@@ -121,7 +121,6 @@ mod flag {
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     name: String,
-    sets: usize,
     ways: usize,
     set_mask: u64,
     tags: Vec<u64>,
@@ -151,7 +150,6 @@ impl CacheArray {
         assert!(cfg.ways <= 64, "{}: >64 ways unsupported", cfg.name);
         Self {
             name: cfg.name.clone(),
-            sets,
             ways: cfg.ways,
             set_mask: sets as u64 - 1,
             tags: vec![0; lines],
@@ -165,16 +163,6 @@ impl CacheArray {
     /// Display name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn num_ways(&self) -> usize {
-        self.ways
     }
 
     #[inline]

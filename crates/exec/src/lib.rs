@@ -55,7 +55,8 @@ pub use record::RunLite;
 /// a workload, and the instruction window.
 #[derive(Debug, Clone)]
 pub struct Job {
-    /// Unique configuration tag (becomes part of the cache key).
+    /// Configuration label, carried through to the [`Outcome`]; not part
+    /// of the cache key.
     pub tag: String,
     /// Full system configuration.
     pub cfg: SystemConfig,
@@ -85,18 +86,18 @@ impl Job {
         }
     }
 
-    /// Cache key: tag, trace, window, core count, and a fingerprint of
-    /// the full configuration and workload contents.
+    /// Cache key: trace, window, core count, and a fingerprint of the
+    /// full configuration and workload contents.
     ///
-    /// The fingerprint means a config edit behind an unchanged tag, a
-    /// generator/seed edit behind an unchanged trace name, or two
-    /// same-tag jobs with different configs in one batch can never serve
-    /// stale or cross-wired results — the key changes with the actual
-    /// inputs, not just the naming convention.
+    /// The key names what is simulated, not how the caller labels it:
+    /// two jobs that differ only in their tag share a key, so a batch
+    /// simulates them once. The fingerprint means a config edit, a
+    /// generator/seed edit behind an unchanged trace name, or two jobs
+    /// with different configs in one batch can never serve stale or
+    /// cross-wired results.
     pub fn key(&self) -> String {
         format!(
-            "{}__{}__{}_{}_{}c_{:08x}",
-            self.tag.replace(['/', ' '], "_"),
+            "{}__{}_{}_{}c_{:08x}",
             self.spec.name,
             self.warmup,
             self.instr,
@@ -287,40 +288,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_key_sanitises_tag_and_fingerprints_config() {
+    fn job_key_ignores_tag_and_fingerprints_config() {
         use hermes_trace::suite;
         let spec = suite::smoke_suite().into_iter().next().unwrap();
         let name = spec.name.clone();
-        let j = Job::new(
-            "tag with/slash",
-            SystemConfig::baseline_1c(),
-            spec.clone(),
-            10,
-            20,
-        );
-        assert!(j
-            .key()
-            .starts_with(&format!("tag_with_slash__{name}__10_20_1c_")));
+        let job = |tag: &str, cfg: SystemConfig, spec: &WorkloadSpec| {
+            Job::new(tag, cfg, spec.clone(), 10, 20)
+        };
+        let j = job("tag with/slash", SystemConfig::baseline_1c(), &spec);
+        assert!(j.key().starts_with(&format!("{name}__10_20_1c_")));
+        // Another tag on the same config and trace names the same
+        // simulation, so it is the same point.
+        let relabelled = job("another", SystemConfig::baseline_1c(), &spec);
+        assert_eq!(j.key(), relabelled.key());
         // Same tag, different config => different key: a config edit
         // behind a reused tag is a cache miss, never a stale hit.
-        let j2 = Job::new(
+        let j2 = job(
             "tag with/slash",
             SystemConfig::baseline_1c().with_rob(1024),
-            spec.clone(),
-            10,
-            20,
+            &spec,
         );
         assert_ne!(j.key(), j2.key());
         // Same trace name, different generator seed => different key.
-        let mut respec = spec;
+        let mut respec = spec.clone();
         respec.seed = respec.seed.wrapping_add(1);
-        let j3 = Job::new(
-            "tag with/slash",
-            SystemConfig::baseline_1c(),
-            respec,
-            10,
-            20,
-        );
+        let j3 = job("tag with/slash", SystemConfig::baseline_1c(), &respec);
         assert_ne!(j.key(), j3.key());
     }
 

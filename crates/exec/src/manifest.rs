@@ -2,8 +2,9 @@
 //!
 //! One JSON document per experiment under `target/experiments/<id>.json`,
 //! recording what the engine did: per-point wall time, how each point was
-//! served (simulated, disk cache, waited on another worker, deduplicated
-//! within the batch), and the measured statistics. These files seed the
+//! served (simulated, disk cache, or waited on another worker), how many
+//! submitted points shared another's result within the batch, and the
+//! measured statistics. These files seed the
 //! `BENCH_*.json`-style perf trajectory: CI prints them, so evaluation
 //! throughput is visible per push.
 //!
@@ -46,24 +47,25 @@ pub struct Manifest {
     pub jobs: usize,
     /// Process wall time when the manifest was written.
     pub wall: Duration,
-    /// One entry per distinct cache key, first occurrence wins (a
-    /// prewarmed point is recorded with its true compute cost, not the
-    /// instant re-read that follows).
+    /// One entry per outcome that is not [`Provenance::Deduped`]: each
+    /// distinct point of a batch, once.
     pub entries: Vec<ManifestEntry>,
+    /// Outcomes that shared an earlier point's result in their batch.
+    pub deduped: usize,
 }
 
 impl Manifest {
-    /// Builds a manifest from engine outcomes, deduplicating by key.
+    /// Builds a manifest from engine outcomes: the deduplicated ones are
+    /// counted, the rest listed.
     pub fn from_outcomes(
         experiment: impl Into<String>,
         jobs: usize,
         wall: Duration,
         outcomes: &[Outcome],
     ) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        let entries = outcomes
+        let entries: Vec<ManifestEntry> = outcomes
             .iter()
-            .filter(|o| seen.insert(o.key.clone()))
+            .filter(|o| o.provenance != Provenance::Deduped)
             .map(|o| ManifestEntry {
                 key: o.key.clone(),
                 tag: o.tag.clone(),
@@ -77,13 +79,17 @@ impl Manifest {
             experiment: experiment.into(),
             jobs,
             wall,
+            deduped: outcomes.len() - entries.len(),
             entries,
         }
     }
 
-    /// Number of entries with the given provenance.
+    /// Number of outcomes with the given provenance.
     pub fn count(&self, p: Provenance) -> usize {
-        self.entries.iter().filter(|e| e.provenance == p).count()
+        match p {
+            Provenance::Deduped => self.deduped,
+            _ => self.entries.iter().filter(|e| e.provenance == p).count(),
+        }
     }
 
     /// Renders the JSON document.
@@ -202,13 +208,20 @@ mod tests {
     fn manifest_dedups_by_key_first_wins() {
         let outs = vec![
             outcome("a", Provenance::Computed),
-            outcome("a", Provenance::Cache),
             outcome("b", Provenance::Cache),
+            outcome("a", Provenance::Deduped),
+            outcome("a", Provenance::Deduped),
         ];
         let m = Manifest::from_outcomes("figX", 2, Duration::from_secs(1), &outs);
         assert_eq!(m.entries.len(), 2);
+        assert_eq!(m.entries[0].provenance, Provenance::Computed);
         assert_eq!(m.count(Provenance::Computed), 1);
         assert_eq!(m.count(Provenance::Cache), 1);
+        // Deduplicated outcomes are counted, not listed.
+        assert_eq!(m.count(Provenance::Deduped), 2);
+        assert!(m.to_json().contains("\"points\": 2,"));
+        assert!(m.to_json().contains("\"deduped\": 2,"));
+        assert!(m.summary_line().contains(", 2 deduped;"));
     }
 
     #[test]

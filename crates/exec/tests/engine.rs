@@ -87,12 +87,13 @@ fn shared_baseline_simulates_exactly_once() {
             WARMUP,
             INSTR,
         ),
-        Job::new("nopf", nopf, spec, WARMUP, INSTR), // fig B, same baseline
+        Job::new("nopf", nopf.clone(), spec.clone(), WARMUP, INSTR), // fig B, same baseline
+        Job::new("fig-c-base", nopf, spec, WARMUP, INSTR),           // same point, another label
     ];
     let outs = Engine::with_cache(4, ResultCache::new(scratch("dedup")))
         .quiet()
         .run_batch(&batch);
-    assert_eq!(outs.len(), 3);
+    assert_eq!(outs.len(), 4);
     let computed = outs
         .iter()
         .filter(|o| o.provenance == Provenance::Computed)
@@ -102,6 +103,16 @@ fn shared_baseline_simulates_exactly_once() {
     assert_eq!(
         outs[0].result, outs[2].result,
         "duplicate shares the first occurrence's result"
+    );
+    assert_eq!(
+        outs[3].provenance,
+        Provenance::Deduped,
+        "the tag is a label, not part of the point"
+    );
+    assert_eq!(outs[0].result, outs[3].result);
+    assert_eq!(
+        outs[3].tag, "fig-c-base",
+        "a relabelled duplicate keeps its tag"
     );
 }
 

@@ -172,6 +172,7 @@ fn manifest_stats_object_is_pinned() {
             wall: Duration::ZERO,
             stats: fixed_record(),
         }],
+        deduped: 0,
     };
     let json = m.to_json();
     let start = json.find("\"stats\": ").expect("stats object") + "\"stats\": ".len();

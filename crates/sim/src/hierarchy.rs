@@ -1845,12 +1845,6 @@ impl Hierarchy {
         out.append(&mut self.finished);
     }
 
-    /// Oracle visibility for tests: whether a line is present at any level
-    /// for `core`.
-    pub fn present_anywhere(&self, core: usize, line: LineAddr) -> bool {
-        self.levels.iter().any(|l| l.probe(core, line))
-    }
-
     /// Oracle visibility for tests: whether `core` holds `line` in any
     /// *private* level (the levels the sharer directory tracks).
     pub fn privately_held(&self, core: usize, line: LineAddr) -> bool {
@@ -1910,14 +1904,6 @@ impl Hierarchy {
     /// always zero with `vm: None` and when quiescent.
     pub fn walks_in_flight(&self) -> usize {
         self.vm.as_ref().map(|v| v.walks.len()).unwrap_or(0)
-    }
-
-    /// Prefetcher storage in bits (Table 6 rows).
-    pub fn prefetcher_storage_bits(&self) -> usize {
-        self.prefetchers
-            .first()
-            .map(|p| p.storage_bits())
-            .unwrap_or(0)
     }
 }
 

@@ -34,13 +34,11 @@
 //! assert!(instr.pc != 0);
 //! ```
 
-pub mod file;
 pub mod gen;
 pub mod instr;
 pub mod source;
 pub mod suite;
 
-pub use file::TraceFileSource;
 pub use instr::{Branch, Instr, MemKind, MemOp, Reg};
 pub use source::TraceSource;
 pub use suite::{Category, WorkloadSpec};

@@ -43,7 +43,7 @@ impl TraceSource for Box<dyn TraceSource> {
 
 /// A [`TraceSource`] that replays a fixed vector of instructions in a loop.
 ///
-/// Useful in tests and for replaying captured traces (see [`crate::file`]).
+/// Useful in tests that need a hand-written instruction stream.
 #[derive(Debug, Clone)]
 pub struct VecSource {
     name: String,

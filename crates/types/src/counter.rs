@@ -46,20 +46,6 @@ impl SatWeight {
         Self { value: 0, min, max }
     }
 
-    /// A weight with explicit inclusive bounds, starting at 0 (clamped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn with_bounds(min: i16, max: i16) -> Self {
-        assert!(min <= max, "invalid bounds {min}..={max}");
-        Self {
-            value: 0i16.clamp(min, max),
-            min,
-            max,
-        }
-    }
-
     /// Current value.
     #[inline]
     pub fn get(self) -> i16 {
