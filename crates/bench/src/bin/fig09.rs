@@ -68,7 +68,7 @@ fn main() {
         .find(|(p, _, _)| **p == PredictorKind::Ttp)
         .expect("ran TTP");
     let summary = format!(
-        "POPET: {} accuracy / {} coverage; HMP: {} / {}; TTP: {} / {} (paper: 77.1%/74.3%, 47%/22.3%, 16.6%/94.8%). POPET {} HMP on coverage; TTP has the top coverage as in the paper. Caveat: the paper's TTP accuracy collapse (16.6%) comes from LLC churn forgetting L1-resident hot lines over 500M-instruction windows; at this window scale the LLC does not turn over even once, so TTP looks far better here than it would at paper scale (see DESIGN.md §2).",
+        "POPET: {} accuracy / {} coverage; HMP: {} / {}; TTP: {} / {} (paper: 77.1%/74.3%, 47%/22.3%, 16.6%/94.8%). POPET {} HMP on coverage; TTP has the top coverage as in the paper. Caveat: the paper's TTP accuracy collapse (16.6%) comes from LLC churn forgetting L1-resident hot lines over 500M-instruction windows; at this window scale the LLC does not turn over even once, so TTP looks far better here than it would at paper scale.",
         pct(popet.1), pct(popet.2), pct(hmp.1), pct(hmp.2), pct(ttp.1), pct(ttp.2),
         if popet.2 > hmp.2 { "beats" } else { "does not beat" },
     );

@@ -24,20 +24,20 @@ use hermes_types::geomean;
 fn topologies() -> Vec<(&'static str, SystemConfig)> {
     let base = SystemConfig::baseline_1c();
     let two = base.clone().with_levels(vec![
-        LevelConfig::private(base.l1.clone()),
+        base.levels[0].clone(),
         // No mid level, LLC latency unchanged: the on-chip walk shrinks
         // to 45 cycles (vs 55), so hier2 trades L2 capacity for a
         // shorter path — and gives Hermes 10 fewer cycles to hide.
-        LevelConfig::shared(base.llc_per_core.clone()),
+        base.levels[2].clone(),
     ]);
     let three = base.clone();
     let four = base.clone().with_levels(vec![
-        LevelConfig::private(base.l1.clone()),
-        LevelConfig::private(base.l2.clone()),
+        base.levels[0].clone(),
+        base.levels[1].clone(),
         LevelConfig::private(
             CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
         ),
-        LevelConfig::shared(base.llc_per_core.clone()),
+        base.levels[2].clone(),
     ]);
     vec![("hier2", two), ("hier3", three), ("hier4", four)]
 }
@@ -77,7 +77,7 @@ fn main() {
         let hermes_ipc = geomean(&hermes_runs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>());
         ipc_rows.push((
             tag,
-            cfg.level_configs().len(),
+            cfg.levels.len(),
             cfg.hierarchy_latency(),
             base_ipc,
             hermes_ipc,

@@ -155,9 +155,10 @@ fn main() {
          Every section corresponds to one figure or table of the paper's\n\
          evaluation; each ends with a shape-check summary comparing the\n\
          measured trend against the paper's reported numbers. Absolute\n\
-         values differ (synthetic workloads, reduced instruction windows —\n\
-         see DESIGN.md §2); the comparisons of interest are who wins, by\n\
-         roughly what factor, and where crossovers fall.\n\n",
+         values differ (synthetic workloads, and instruction windows so\n\
+         short that the LLC never turns over); the comparisons of\n\
+         interest are who wins, by roughly what factor, and where\n\
+         crossovers fall.\n\n",
     );
     for exp in EXPERIMENTS {
         let path = format!("target/experiments/{exp}.md");

@@ -5,7 +5,7 @@ use hermes_types::{LineAddr, LINE_SIZE};
 use crate::replacement::{PolicyState, ReplacementKind};
 
 /// Static configuration of one cache level.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Display name ("L1D", "L2", "LLC").
     pub name: String,

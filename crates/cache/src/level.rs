@@ -59,7 +59,7 @@ pub enum LevelScope {
 /// describes the *per-core* share; [`LevelConfig::instantiated`] scales
 /// capacity and MSHR count by the core count, exactly like the paper's
 /// "3 MB/core" LLC.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelConfig {
     /// Per-core cache geometry (capacity, ways, replacement, MSHRs,
     /// latency).

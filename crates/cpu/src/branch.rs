@@ -1,46 +1,11 @@
-//! Branch predictors.
+//! Branch direction predictor.
 //!
 //! Table 4 specifies a "Perceptron branch predictor" (ref. 61: Jiménez & Lin,
 //! HPCA'01) with a 17-cycle misprediction penalty. We implement the hashed
 //! variant (Tarjan & Skadron) — the same table-of-weights machinery POPET
-//! itself is built from — plus gshare and a static always-taken baseline
-//! for ablations.
+//! itself is built from. Both core models hold one [`PerceptronBp`] each.
 
-use hermes_types::{hash_index, SatCounter, SatWeight};
-
-/// Which predictor a core instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchKind {
-    /// Hashed-perceptron (the paper's baseline).
-    Perceptron,
-    /// Gshare with 2-bit counters.
-    Gshare,
-    /// Static always-taken.
-    AlwaysTaken,
-}
-
-/// A conditional-branch direction predictor.
-pub trait BranchPredictor {
-    /// Predicts the direction of the branch at `pc`.
-    fn predict(&mut self, pc: u64) -> bool;
-
-    /// Trains with the resolved outcome. `predicted` is what
-    /// [`BranchPredictor::predict`] returned for this instance of the
-    /// branch.
-    fn train(&mut self, pc: u64, taken: bool, predicted: bool);
-
-    /// Storage cost in bits (for overhead tables).
-    fn storage_bits(&self) -> usize;
-}
-
-/// Builds the predictor selected by `kind`.
-pub fn build(kind: BranchKind) -> Box<dyn BranchPredictor> {
-    match kind {
-        BranchKind::Perceptron => Box::new(PerceptronBp::new()),
-        BranchKind::Gshare => Box::new(GshareBp::new(14)),
-        BranchKind::AlwaysTaken => Box::new(AlwaysTaken),
-    }
-}
+use hermes_types::{hash_index, SatWeight};
 
 const PBP_TABLE_BITS: u32 = 12;
 const PBP_TABLES: usize = 4;
@@ -93,21 +58,17 @@ impl PerceptronBp {
             .map(|(t, &i)| t[i].get() as i32)
             .sum()
     }
-}
 
-impl Default for PerceptronBp {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BranchPredictor for PerceptronBp {
-    fn predict(&mut self, pc: u64) -> bool {
+    /// Predicts the direction of the branch at `pc`.
+    pub fn predict(&self, pc: u64) -> bool {
         let idx = self.indices(pc);
         self.sum(&idx) >= 0
     }
 
-    fn train(&mut self, pc: u64, taken: bool, predicted: bool) {
+    /// Trains with the resolved outcome. `predicted` is what
+    /// [`PerceptronBp::predict`] returned for this instance of the
+    /// branch.
+    pub fn train(&mut self, pc: u64, taken: bool, predicted: bool) {
         let idx = self.indices(pc);
         let s = self.sum(&idx);
         if predicted != taken || s.abs() < PBP_THETA {
@@ -118,63 +79,15 @@ impl BranchPredictor for PerceptronBp {
         self.ghist = (self.ghist << 1) | taken as u64;
     }
 
-    fn storage_bits(&self) -> usize {
+    /// Storage cost in bits.
+    pub fn storage_bits(&self) -> usize {
         PBP_TABLES * (1 << PBP_TABLE_BITS) * PBP_WEIGHT_BITS as usize + 64
     }
 }
 
-/// Gshare: a single table of 2-bit counters indexed by PC ⊕ history.
-#[derive(Debug, Clone)]
-pub struct GshareBp {
-    counters: Vec<SatCounter>,
-    ghist: u64,
-    bits: u32,
-}
-
-impl GshareBp {
-    /// A gshare predictor with `2^bits` counters.
-    pub fn new(bits: u32) -> Self {
-        Self {
-            counters: vec![SatCounter::new(2); 1 << bits],
-            ghist: 0,
-            bits,
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        hash_index(pc ^ self.ghist, self.bits)
-    }
-}
-
-impl BranchPredictor for GshareBp {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.counters[self.index(pc)].is_set()
-    }
-
-    fn train(&mut self, pc: u64, taken: bool, _predicted: bool) {
-        let i = self.index(pc);
-        self.counters[i].train(taken);
-        self.ghist = (self.ghist << 1) | taken as u64;
-    }
-
-    fn storage_bits(&self) -> usize {
-        self.counters.len() * 2 + 64
-    }
-}
-
-/// Static always-taken baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysTaken;
-
-impl BranchPredictor for AlwaysTaken {
-    fn predict(&mut self, _pc: u64) -> bool {
-        true
-    }
-
-    fn train(&mut self, _pc: u64, _taken: bool, _predicted: bool) {}
-
-    fn storage_bits(&self) -> usize {
-        0
+impl Default for PerceptronBp {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -182,7 +95,7 @@ impl BranchPredictor for AlwaysTaken {
 mod tests {
     use super::*;
 
-    fn accuracy(bp: &mut dyn BranchPredictor, pattern: impl Fn(u64) -> bool, n: u64) -> f64 {
+    fn accuracy(bp: &mut PerceptronBp, pattern: impl Fn(u64) -> bool, n: u64) -> f64 {
         let mut correct = 0;
         for i in 0..n {
             let pc = 0x400_000 + (i % 4) * 4;
@@ -211,48 +124,15 @@ mod tests {
     }
 
     #[test]
-    fn gshare_learns_loop_pattern() {
-        let mut bp = GshareBp::new(14);
-        // Taken 7 times, not-taken once (a loop of 8 iterations).
-        let acc = accuracy(&mut bp, |i| i % 8 != 7, 8000);
-        assert!(acc > 0.85, "loop pattern accuracy {acc}");
-    }
-
-    #[test]
-    fn perceptron_beats_gshare_on_correlated() {
+    fn perceptron_learns_correlated_pattern() {
         // Outcome correlated with history 3 branches ago.
-        let pat = |i: u64| (i / 3).is_multiple_of(2);
-        let mut p = PerceptronBp::new();
-        let mut g = GshareBp::new(10);
-        let pa = accuracy(&mut p, pat, 6000);
-        let ga = accuracy(&mut g, pat, 6000);
-        assert!(pa >= ga - 0.02, "perceptron {pa} vs gshare {ga}");
-    }
-
-    #[test]
-    fn always_taken_is_static() {
-        let mut bp = AlwaysTaken;
-        assert!(bp.predict(0x1234));
-        bp.train(0x1234, false, true);
-        assert!(bp.predict(0x1234));
-        assert_eq!(bp.storage_bits(), 0);
-    }
-
-    #[test]
-    fn build_constructs_each_kind() {
-        for k in [
-            BranchKind::Perceptron,
-            BranchKind::Gshare,
-            BranchKind::AlwaysTaken,
-        ] {
-            let mut bp = build(k);
-            let _ = bp.predict(0x400000);
-        }
+        let mut bp = PerceptronBp::new();
+        let acc = accuracy(&mut bp, |i| (i / 3).is_multiple_of(2), 6000);
+        assert!(acc > 0.9, "correlated pattern accuracy {acc}");
     }
 
     #[test]
     fn storage_accounting_nonzero_for_tables() {
         assert!(PerceptronBp::new().storage_bits() > 8 * 1024);
-        assert!(GshareBp::new(14).storage_bits() > 1 << 14);
     }
 }

@@ -1,7 +1,5 @@
 //! Core configuration.
 
-use crate::branch::BranchKind;
-
 /// Which pipeline model a core instantiates.
 ///
 /// `Legacy` is the original dependency-scheduled dataflow model
@@ -80,8 +78,6 @@ pub struct CoreConfig {
     pub sq_size: usize,
     /// Branch misprediction penalty in cycles (17).
     pub branch_penalty: u32,
-    /// Which branch predictor to build.
-    pub branch_predictor: BranchKind,
     /// Which pipeline model to instantiate.
     pub model: CoreModel,
 }
@@ -96,7 +92,6 @@ impl CoreConfig {
             lq_size: 128,
             sq_size: 72,
             branch_penalty: 17,
-            branch_predictor: BranchKind::Perceptron,
             model: CoreModel::Legacy,
         }
     }

@@ -14,7 +14,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use hermes_trace::{Instr, MemKind, TraceSource};
 use hermes_types::{CoreId, Cycle, VirtAddr};
 
-use crate::branch::{self, BranchPredictor};
+use crate::branch::PerceptronBp;
 use crate::config::CoreConfig;
 use crate::port::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
 use crate::stats::CoreStats;
@@ -91,7 +91,7 @@ pub struct Core {
     lq_used: usize,
     sq_used: usize,
     fetch_stall_until: Cycle,
-    bp: Box<dyn BranchPredictor>,
+    bp: PerceptronBp,
     stats: CoreStats,
 }
 
@@ -109,7 +109,6 @@ impl Core {
     /// Builds a core running `trace`.
     pub fn new(id: CoreId, cfg: CoreConfig, trace: Box<dyn TraceSource>) -> Self {
         cfg.validate();
-        let bp = branch::build(cfg.branch_predictor);
         Self {
             id,
             trace,
@@ -121,7 +120,7 @@ impl Core {
             lq_used: 0,
             sq_used: 0,
             fetch_stall_until: 0,
-            bp,
+            bp: PerceptronBp::new(),
             stats: CoreStats::default(),
             cfg,
         }

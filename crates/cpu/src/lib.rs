@@ -35,7 +35,7 @@ pub mod port;
 pub mod stats;
 
 pub use crate::core::Core;
-pub use branch::{BranchKind, BranchPredictor};
+pub use branch::PerceptronBp;
 pub use config::{CoreConfig, CoreModel, OooConfig};
 pub use port::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
 pub use stats::CoreStats;

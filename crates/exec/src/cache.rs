@@ -47,8 +47,8 @@ use crate::Provenance;
 /// core model (`CoreConfig` grew the `model` field, entering every
 /// fingerprint, and `RunLite` grew the ROB-occupancy / RS-LSQ-stall /
 /// forwarding / flush fields); v9 adds the event-driven scheduler
-/// (`SystemConfig` grew the `scheduler` and `pf_bandwidth_guard` fields,
-/// entering every fingerprint).
+/// (`SystemConfig` grew the `scheduler` field and a since-retired
+/// prefetch bandwidth-guard field, entering every fingerprint).
 ///
 /// A change to the set of `RunLite` fields needs no bump of its own:
 /// adding, removing or renaming a row of the record's stats table makes

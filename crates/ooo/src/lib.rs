@@ -46,11 +46,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use hermes_cpu::branch::{self, BranchPredictor};
 use hermes_cpu::config::{CoreConfig, CoreModel, OooConfig};
 use hermes_cpu::port::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
 use hermes_cpu::stats::CoreStats;
 use hermes_cpu::Core;
+use hermes_cpu::PerceptronBp;
 use hermes_trace::{Instr, MemKind, TraceSource};
 use hermes_types::{CoreId, Cycle, VirtAddr};
 
@@ -153,7 +153,7 @@ pub struct OooCore {
     /// enter its queue this cycle (nothing is dropped).
     pending: Option<Instr>,
     fetch_stall_until: Cycle,
-    bp: Box<dyn BranchPredictor>,
+    bp: PerceptronBp,
     stats: CoreStats,
 }
 
@@ -173,7 +173,6 @@ impl OooCore {
     pub fn new(id: CoreId, cfg: CoreConfig, ooo: OooConfig, trace: Box<dyn TraceSource>) -> Self {
         cfg.validate();
         ooo.validate();
-        let bp = branch::build(cfg.branch_predictor);
         Self {
             id,
             trace,
@@ -189,7 +188,7 @@ impl OooCore {
             sq_used: 0,
             pending: None,
             fetch_stall_until: 0,
-            bp,
+            bp: PerceptronBp::new(),
             stats: CoreStats::default(),
             cfg,
             ooo,
@@ -835,7 +834,6 @@ impl AnyCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_cpu::BranchKind;
     use hermes_trace::source::VecSource;
 
     /// Fixed-latency memory stub mirroring the legacy core's test
@@ -1194,23 +1192,18 @@ mod tests {
 
     #[test]
     fn flushes_counted_on_mispredicts() {
-        // Always-taken predictor vs never-taken branches: every branch
-        // mispredicts and flushes.
-        let cfg = CoreConfig {
-            branch_predictor: BranchKind::AlwaysTaken,
-            ..CoreConfig::baseline()
-        };
+        // A cold perceptron predicts taken (all weights zero), so
+        // never-taken branches mispredict and flush until it trains.
         let instrs = vec![
             Instr::alu(0x400000, Some(1), [None, None]),
             Instr::branch(0x400004, false, Some(1)),
         ];
-        let mut core = mk(cfg, instrs);
+        let mut core = mk(CoreConfig::baseline(), instrs);
         let mut mem = StubMem::new(5, ServedBy::L1);
         run(&mut core, &mut mem, 2_000);
         let s = core.stats();
-        assert!(s.branches > 0);
+        assert!(s.branch_mispredicts > 0, "cold start must mispredict");
         assert_eq!(s.flushes, s.branch_mispredicts);
-        assert_eq!(s.flushes, s.branches, "every never-taken branch flushes");
     }
 
     #[test]

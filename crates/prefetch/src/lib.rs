@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates Hermes on top of five recently-proposed
 //! high-performance prefetchers (§7.2, §8.4.2); all five are implemented
-//! here from their original descriptions, plus two classic baselines:
+//! here from their original descriptions:
 //!
 //! * [`pythia::Pythia`] — reinforcement-learning offset prefetcher
 //!   (Bera et al., MICRO'21), the paper's baseline prefetcher.
@@ -14,8 +14,6 @@
 //! * [`mlop::Mlop`] — multi-lookahead offset prefetcher (Shakerinava et
 //!   al., DPC3'19).
 //! * [`sms::Sms`] — spatial memory streaming (Somogyi et al., ISCA'06).
-//! * [`streamer::Streamer`] and [`next_line::NextLine`] — classic
-//!   baselines for sanity comparisons.
 //!
 //! Prefetchers are attached to one cache level by the hierarchy engine
 //! (the LLC in the paper's Table 4) and observe demand accesses at that
@@ -25,11 +23,9 @@
 
 pub mod bingo;
 pub mod mlop;
-pub mod next_line;
 pub mod pythia;
 pub mod sms;
 pub mod spp;
-pub mod streamer;
 
 use hermes_types::LineAddr;
 
@@ -90,10 +86,6 @@ pub trait Prefetcher {
 pub enum PrefetcherKind {
     /// No prefetching (the normalisation baseline of every figure).
     None,
-    /// Next-line.
-    NextLine,
-    /// Multi-stream detector.
-    Streamer,
     /// Signature path prefetcher + perceptron filter.
     Spp,
     /// Bingo spatial prefetcher.
@@ -120,8 +112,6 @@ impl PrefetcherKind {
     pub fn label(self) -> &'static str {
         match self {
             PrefetcherKind::None => "no-prefetching",
-            PrefetcherKind::NextLine => "next-line",
-            PrefetcherKind::Streamer => "streamer",
             PrefetcherKind::Spp => "SPP",
             PrefetcherKind::Bingo => "Bingo",
             PrefetcherKind::Mlop => "MLOP",
@@ -151,8 +141,6 @@ impl Prefetcher for NoPrefetcher {
 pub fn build(kind: PrefetcherKind) -> Box<dyn Prefetcher> {
     match kind {
         PrefetcherKind::None => Box::new(NoPrefetcher),
-        PrefetcherKind::NextLine => Box::new(next_line::NextLine::new(1)),
-        PrefetcherKind::Streamer => Box::new(streamer::Streamer::new(16, 4)),
         PrefetcherKind::Spp => Box::new(spp::Spp::new()),
         PrefetcherKind::Bingo => Box::new(bingo::Bingo::new()),
         PrefetcherKind::Mlop => Box::new(mlop::Mlop::new()),
@@ -202,8 +190,6 @@ mod tests {
     fn build_constructs_every_kind() {
         for k in [
             PrefetcherKind::None,
-            PrefetcherKind::NextLine,
-            PrefetcherKind::Streamer,
             PrefetcherKind::Spp,
             PrefetcherKind::Bingo,
             PrefetcherKind::Mlop,

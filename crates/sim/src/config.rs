@@ -19,21 +19,23 @@ pub struct SystemConfig {
     pub cores: usize,
     /// Core pipeline configuration.
     pub core: CoreConfig,
-    /// L1D configuration; `latency` is the load-to-use latency of an L1
-    /// hit (5 cycles).
-    pub l1: CacheConfig,
-    /// L2 configuration; `latency` is the *additional* cycles past L1
-    /// (10, for a 15-cycle L2 load-to-use).
-    pub l2: CacheConfig,
-    /// Shared LLC configuration *per core* (3 MB/core); `latency` is the
-    /// additional cycles past L2 (40, for a 55-cycle LLC load-to-use).
-    pub llc_per_core: CacheConfig,
-    /// Explicit cache topology, innermost level first. `None` (the
-    /// default everywhere) derives the paper's classic three-level stack
-    /// from `l1`/`l2`/`llc_per_core`; `Some` replaces it wholesale and
-    /// the classic fields (and their sweep builders) are ignored. See
-    /// [`SystemConfig::level_configs`] for the shape rules.
-    pub levels: Option<Vec<LevelConfig>>,
+    /// Cache topology, innermost level first. [`SystemConfig::baseline_1c`]
+    /// fills in Table 4's private L1D / private L2 / shared LLC. Each
+    /// level's `latency` is the cycles it adds past the level inside it:
+    /// 5 for an L1D hit, 10 more for a 15-cycle L2 load-to-use, and 40
+    /// more for a 55-cycle LLC load-to-use. A shared level's size is per
+    /// core (3 MB/core for the LLC) and scales with `cores`.
+    ///
+    /// Shape rules (enforced by [`SystemConfig::validate`]): at least two
+    /// levels; the first level must be [`LevelScope::Private`] (it is the
+    /// per-core L1D the pipeline talks to); the last level must be
+    /// [`LevelScope::Shared`] (a miss there is the off-chip boundary and
+    /// its MSHRs front the shared memory controller); and scopes must be
+    /// monotone — once a level is shared, every outer level is too. A
+    /// private level outboard of a shared one would receive the shared
+    /// level's victims (which may belong to any core) into a single
+    /// core's instance, misplacing other cores' data.
+    pub levels: Vec<LevelConfig>,
     /// Main memory.
     pub dram: DramConfig,
     /// Address-translation subsystem (TLBs + hardware page-table walker).
@@ -75,8 +77,6 @@ pub struct SystemConfig {
     /// timing: a probed run and an unprobed run of the same workload
     /// produce identical statistics.
     pub probe: Option<ProbeConfig>,
-    /// Cycles a retry waits when an MSHR is full.
-    pub mshr_retry: u32,
     /// Idle-cycle fast-forward in [`crate::System::run`]: when every core
     /// is blocked on the memory system and no hierarchy event is due,
     /// jump simulated time straight to the next event instead of ticking
@@ -89,28 +89,30 @@ pub struct SystemConfig {
     /// every config — see [`crate::sched`] — so this knob only affects
     /// wall-clock time (and exists so equivalence stays testable).
     pub scheduler: SchedulerModel,
-    /// Extends the PR 6 DRAM bandwidth guard to the prefetcher zoo: when
-    /// on, a prefetch issue at the last level is dropped if its DRAM
-    /// channel's read queue is more than a quarter occupied — the same
-    /// [`hermes_dram::MemoryController::read_queue_pressure`] gate Hermes
-    /// speculative reads consult. Off by default: the historical
-    /// prefetcher behaviour (and every golden digest) is unchanged
-    /// unless a config opts in.
-    pub pf_bandwidth_guard: bool,
 }
 
 impl SystemConfig {
     /// The single-core baseline of Table 4 — Pythia at the LLC, Hermes
-    /// disabled.
+    /// disabled. The L1D, L2 and LLC add 5, 10 and 40 cycles (55 to the
+    /// memory controller); see [`SystemConfig::levels`].
     pub fn baseline_1c() -> Self {
         Self {
             cores: 1,
             core: CoreConfig::baseline(),
-            l1: CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16).with_latency(5),
-            l2: CacheConfig::new("L2", 1280 * 1024, 20, ReplacementKind::Lru, 48).with_latency(10),
-            llc_per_core: CacheConfig::new("LLC", 3 << 20, 12, ReplacementKind::Ship, 64)
-                .with_latency(40),
-            levels: None,
+            levels: vec![
+                LevelConfig::private(
+                    CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16)
+                        .with_latency(5),
+                ),
+                LevelConfig::private(
+                    CacheConfig::new("L2", 1280 * 1024, 20, ReplacementKind::Lru, 48)
+                        .with_latency(10),
+                ),
+                LevelConfig::shared(
+                    CacheConfig::new("LLC", 3 << 20, 12, ReplacementKind::Ship, 64)
+                        .with_latency(40),
+                ),
+            ],
             dram: DramConfig::single_core(),
             vm: None,
             coherence: None,
@@ -118,10 +120,8 @@ impl SystemConfig {
             hermes: HermesConfig::disabled(),
             popet: PopetConfig::paper(),
             probe: None,
-            mshr_retry: 4,
             fast_forward: true,
             scheduler: SchedulerModel::default(),
-            pf_bandwidth_guard: false,
         }
     }
 
@@ -178,45 +178,40 @@ impl SystemConfig {
         self
     }
 
-    /// Replaces the per-core LLC size (Fig. 20 sweep).
+    /// Replaces the per-core size of the last cache level (Fig. 20
+    /// sweep), keeping its name, ways, replacement, MSHRs and latency.
     ///
     /// # Panics
     ///
     /// Panics if the size does not yield a power-of-two set count, or if
-    /// an explicit topology is set (the classic-field sweep would be a
-    /// silent no-op; sweep the `levels` entries directly instead).
+    /// `levels` is empty.
     pub fn with_llc_size(mut self, bytes_per_core: u64) -> Self {
-        assert!(
-            self.levels.is_none(),
-            "with_llc_size sweeps the classic l1/l2/llc topology; \
-             with an explicit `levels` topology, edit its LevelConfigs directly"
-        );
-        self.llc_per_core = CacheConfig::new(
-            "LLC",
+        let llc = self.llc_mut();
+        *llc = CacheConfig::new(
+            llc.name.clone(),
             bytes_per_core,
-            self.llc_per_core.ways,
-            self.llc_per_core.replacement,
-            self.llc_per_core.mshrs,
+            llc.ways,
+            llc.replacement,
+            llc.mshrs,
         )
-        .with_latency(self.llc_per_core.latency);
+        .with_latency(llc.latency);
         self
     }
 
-    /// Replaces the post-L2 LLC latency (Fig. 17d sweep: the paper varies
-    /// the LLC access latency with L1/L2 unchanged).
+    /// Replaces the latency the last cache level adds past the level
+    /// inside it (Fig. 17d sweep: the paper varies the LLC access latency
+    /// with L1/L2 unchanged).
     ///
     /// # Panics
     ///
-    /// Panics if an explicit topology is set (see
-    /// [`SystemConfig::with_llc_size`]).
+    /// Panics if `levels` is empty.
     pub fn with_llc_latency(mut self, additional_cycles: u32) -> Self {
-        assert!(
-            self.levels.is_none(),
-            "with_llc_latency sweeps the classic l1/l2/llc topology; \
-             with an explicit `levels` topology, edit its LevelConfigs directly"
-        );
-        self.llc_per_core.latency = additional_cycles;
+        self.llc_mut().latency = additional_cycles;
         self
+    }
+
+    fn llc_mut(&mut self) -> &mut CacheConfig {
+        &mut self.levels.last_mut().expect("levels is empty").cache
     }
 
     /// Replaces the DRAM transfer rate (Fig. 17a sweep).
@@ -238,11 +233,9 @@ impl SystemConfig {
         self
     }
 
-    /// Replaces the whole cache topology (innermost level first). The
-    /// classic `l1`/`l2`/`llc_per_core` fields and their sweep builders
-    /// are ignored once an explicit topology is set.
+    /// Replaces the whole cache topology (innermost level first).
     pub fn with_levels(mut self, levels: Vec<LevelConfig>) -> Self {
-        self.levels = Some(levels);
+        self.levels = levels;
         self
     }
 
@@ -260,13 +253,6 @@ impl SystemConfig {
         self
     }
 
-    /// Gates prefetcher issues on DRAM read-queue pressure, the same way
-    /// Hermes speculative reads are gated (off by default).
-    pub fn with_pf_bandwidth_guard(mut self, on: bool) -> Self {
-        self.pf_bandwidth_guard = on;
-        self
-    }
-
     /// Attaches the observability probe (off by default; never changes
     /// results, only records them — see [`SystemConfig::probe`]).
     pub fn with_probe(mut self, probe: ProbeConfig) -> Self {
@@ -274,43 +260,17 @@ impl SystemConfig {
         self
     }
 
-    /// The cache topology actually simulated, innermost level first:
-    /// the explicit [`SystemConfig::levels`] if set, otherwise the
-    /// classic private-L1 / private-L2 / shared-LLC stack.
-    ///
-    /// Shape rules (enforced by [`SystemConfig::validate`]): at least two
-    /// levels; the first level must be [`LevelScope::Private`] (it is the
-    /// per-core L1D the pipeline talks to); the last level must be
-    /// [`LevelScope::Shared`] (a miss there is the off-chip boundary and
-    /// its MSHRs front the shared memory controller); and scopes must be
-    /// monotone — once a level is shared, every outer level is too. A
-    /// private level outboard of a shared one would receive the shared
-    /// level's victims (which may belong to any core) into a single
-    /// core's instance, misplacing other cores' data.
-    pub fn level_configs(&self) -> Vec<LevelConfig> {
-        match &self.levels {
-            Some(v) => v.clone(),
-            None => vec![
-                LevelConfig::private(self.l1.clone()),
-                LevelConfig::private(self.l2.clone()),
-                LevelConfig::shared(self.llc_per_core.clone()),
-            ],
-        }
-    }
-
     /// Total one-way latency from issue to the memory controller — the
     /// sum of per-level lookup latencies (55 in the baseline): the cycles
     /// Hermes can shave off an off-chip load.
     pub fn hierarchy_latency(&self) -> u32 {
-        self.level_configs().iter().map(|l| l.cache.latency).sum()
+        self.levels.iter().map(|l| l.cache.latency).sum()
     }
 
     /// The geometry of the last (shared) cache level as instantiated for
-    /// this core count — Table 4's "3 MB/core" scaling. Follows the
-    /// explicit topology when one is set, so it always describes the
-    /// cache the simulator actually builds.
+    /// this core count — Table 4's "3 MB/core" scaling.
     pub fn shared_llc(&self) -> CacheConfig {
-        self.level_configs()
+        self.levels
             .last()
             .expect("validate() enforces >= 2 levels")
             .instantiated(self.cores)
@@ -321,7 +281,7 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics on inconsistent parameters or a topology violating the
-    /// shape rules of [`SystemConfig::level_configs`].
+    /// shape rules of [`SystemConfig::levels`].
     pub fn validate(&self) {
         assert!(self.cores >= 1);
         self.core.validate();
@@ -329,7 +289,7 @@ impl SystemConfig {
         if let Some(vm) = &self.vm {
             vm.validate(self.cores);
         }
-        let levels = self.level_configs();
+        let levels = &self.levels;
         assert!(
             levels.len() >= 2,
             "hierarchy needs at least two levels (got {})",
@@ -351,7 +311,7 @@ impl SystemConfig {
                 .all(|w| !(w[0].scope == LevelScope::Shared && w[1].scope == LevelScope::Private)),
             "cache level scopes must be monotone: no private level outside a shared one"
         );
-        for l in &levels {
+        for l in levels {
             // Geometry checks (set counts, scaling) panic on bad shapes.
             let _ = l.instantiated(self.cores);
         }
@@ -382,9 +342,9 @@ mod tests {
     #[test]
     fn baseline_matches_table4() {
         let c = SystemConfig::baseline_1c();
-        assert_eq!(c.l1.sets(), 64);
-        assert_eq!(c.l2.sets(), 1024);
-        assert_eq!(c.llc_per_core.sets(), 4096);
+        assert_eq!(c.levels[0].cache.sets(), 64);
+        assert_eq!(c.levels[1].cache.sets(), 1024);
+        assert_eq!(c.levels[2].cache.sets(), 4096);
         assert_eq!(c.hierarchy_latency(), 55);
         assert_eq!(c.prefetcher, PrefetcherKind::Pythia);
         assert!(!c.hermes.enabled());
@@ -402,9 +362,8 @@ mod tests {
     #[test]
     fn default_topology_matches_classic_fields() {
         let c = SystemConfig::baseline_1c();
-        assert!(c.levels.is_none());
         assert!(c.fast_forward);
-        let levels = c.level_configs();
+        let levels = &c.levels;
         assert_eq!(levels.len(), 3);
         assert_eq!(levels[0].scope, LevelScope::Private);
         assert_eq!(levels[1].scope, LevelScope::Private);
@@ -420,24 +379,29 @@ mod tests {
         assert_eq!(inst.mshrs, llc.mshrs);
     }
 
-    #[test]
-    fn explicit_topology_drives_latency_and_validation() {
+    /// L1D / L2 / a private 2 MB L3 / the shared LLC.
+    fn four_level() -> SystemConfig {
         let base = SystemConfig::baseline_1c();
-        let c = base.clone().with_levels(vec![
-            LevelConfig::private(base.l1.clone()),
-            LevelConfig::private(base.l2.clone()),
+        base.clone().with_levels(vec![
+            base.levels[0].clone(),
+            base.levels[1].clone(),
             LevelConfig::private(
                 CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
             ),
-            LevelConfig::shared(base.llc_per_core.clone()),
-        ]);
-        assert_eq!(c.level_configs().len(), 4);
+            base.levels[2].clone(),
+        ])
+    }
+
+    #[test]
+    fn explicit_topology_drives_latency_and_validation() {
+        let base = SystemConfig::baseline_1c();
+        let c = four_level();
+        assert_eq!(c.levels.len(), 4);
         assert_eq!(c.hierarchy_latency(), 70);
         c.validate();
-        let two = base.clone().with_levels(vec![
-            LevelConfig::private(base.l1.clone()),
-            LevelConfig::shared(base.llc_per_core.clone()),
-        ]);
+        let two = base
+            .clone()
+            .with_levels(vec![base.levels[0].clone(), base.levels[2].clone()]);
         assert_eq!(two.hierarchy_latency(), 45);
         two.validate();
     }
@@ -448,8 +412,8 @@ mod tests {
         let base = SystemConfig::baseline_1c();
         base.clone()
             .with_levels(vec![
-                LevelConfig::private(base.l1.clone()),
-                LevelConfig::private(base.l2.clone()),
+                LevelConfig::private(base.levels[0].cache.clone()),
+                LevelConfig::private(base.levels[1].cache.clone()),
             ])
             .validate();
     }
@@ -460,8 +424,8 @@ mod tests {
         let base = SystemConfig::baseline_1c();
         base.clone()
             .with_levels(vec![
-                LevelConfig::shared(base.l1.clone()),
-                LevelConfig::shared(base.llc_per_core.clone()),
+                LevelConfig::shared(base.levels[0].cache.clone()),
+                LevelConfig::shared(base.levels[2].cache.clone()),
             ])
             .validate();
     }
@@ -472,32 +436,36 @@ mod tests {
         let base = SystemConfig::baseline_1c();
         base.clone()
             .with_levels(vec![
-                LevelConfig::private(base.l1.clone()),
-                LevelConfig::shared(base.l2.clone()),
-                LevelConfig::private(base.l2.clone()),
-                LevelConfig::shared(base.llc_per_core.clone()),
+                LevelConfig::private(base.levels[0].cache.clone()),
+                LevelConfig::shared(base.levels[1].cache.clone()),
+                LevelConfig::private(base.levels[1].cache.clone()),
+                LevelConfig::shared(base.levels[2].cache.clone()),
             ])
             .validate();
     }
 
     #[test]
-    #[should_panic(expected = "edit its LevelConfigs directly")]
-    fn classic_sweep_builders_rejected_on_explicit_topology() {
-        let base = SystemConfig::baseline_1c();
-        let _ = base
-            .clone()
-            .with_levels(vec![
-                LevelConfig::private(base.l1.clone()),
-                LevelConfig::shared(base.llc_per_core.clone()),
-            ])
-            .with_llc_latency(50);
+    fn llc_builders_edit_last_level_of_explicit_topology() {
+        let c = four_level();
+        let base_latency = c.hierarchy_latency();
+        let d = c.clone().with_llc_latency(40 + 7).with_llc_size(6 << 20);
+        assert_eq!(d.hierarchy_latency(), base_latency + 7);
+        assert_eq!(d.shared_llc().size_bytes, 6 << 20);
+        let llc = &d.levels[3].cache;
+        assert_eq!(llc.name, "LLC");
+        assert_eq!(
+            (llc.ways, llc.replacement, llc.mshrs),
+            (12, ReplacementKind::Ship, 64)
+        );
+        assert_eq!(d.levels[..3], c.levels[..3]);
+        d.validate();
     }
 
     #[test]
     fn shared_llc_follows_explicit_topology() {
         let base = SystemConfig::baseline_1c();
         let c = base.clone().with_levels(vec![
-            LevelConfig::private(base.l1.clone()),
+            LevelConfig::private(base.levels[0].cache.clone()),
             LevelConfig::shared(
                 CacheConfig::new("LLC", 1 << 20, 16, ReplacementKind::Lru, 32).with_latency(30),
             ),
@@ -512,7 +480,7 @@ mod tests {
     fn single_level_topology_rejected() {
         let base = SystemConfig::baseline_1c();
         base.clone()
-            .with_levels(vec![LevelConfig::shared(base.llc_per_core.clone())])
+            .with_levels(vec![LevelConfig::shared(base.levels[2].cache.clone())])
             .validate();
     }
 
@@ -533,9 +501,9 @@ mod tests {
         let base = SystemConfig::baseline_1c();
         base.clone()
             .with_levels(vec![
-                LevelConfig::private(base.l1.clone()),
-                LevelConfig::shared(base.l2.clone()),
-                LevelConfig::shared(base.llc_per_core.clone()),
+                LevelConfig::private(base.levels[0].cache.clone()),
+                LevelConfig::shared(base.levels[1].cache.clone()),
+                LevelConfig::shared(base.levels[2].cache.clone()),
             ])
             .with_coherence(CoherenceConfig::baseline())
             .validate();
@@ -584,7 +552,7 @@ mod tests {
         assert_eq!(c.prefetcher, PrefetcherKind::Bingo);
         assert!(c.hermes.enabled());
         assert_eq!(c.core.rob_size, 256);
-        assert_eq!(c.llc_per_core.size_bytes, 6 << 20);
+        assert_eq!(c.shared_llc().size_bytes, 6 << 20);
         assert_eq!(c.hierarchy_latency(), 65);
         assert_eq!(c.dram.mtps, 1600);
         c.validate();

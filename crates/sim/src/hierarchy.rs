@@ -5,7 +5,7 @@
 //! ## Topology
 //!
 //! The hierarchy is a `Vec<CacheLevel>` built from
-//! [`SystemConfig::level_configs`] (innermost level first). The default
+//! [`SystemConfig::levels`] (innermost level first). The default
 //! is the paper's three-level stack — private L1D, private L2, shared
 //! LLC — but any depth ≥ 2 works, with each level private per core or
 //! shared by all cores ([`hermes_cache::LevelScope`]). Three level roles
@@ -107,7 +107,7 @@
 //!
 //! First-level accesses rejected by a full MSHR table park in a retry
 //! queue and re-execute the full access (tag lookup included, which is
-//! deliberately re-charged to the power model) after `mshr_retry`
+//! deliberately re-charged to the power model) after `MSHR_RETRY`
 //! cycles. The queue keeps the historical `Vec` + swap-remove scan —
 //! whose exact (path-dependent) processing order the regression goldens
 //! are bit-for-bit sensitive to, ruling out a reordering container like
@@ -140,6 +140,10 @@ const MAX_PF_PER_ACCESS: usize = 32;
 /// Last-level MSHR registers held back from prefetches so demands never
 /// starve.
 const PF_MSHR_RESERVE: usize = 8;
+
+/// Cycles a first-level access rejected by a full MSHR table waits in the
+/// retry queue before it re-executes.
+const MSHR_RETRY: Cycle = 4;
 
 /// An MSHR waiter payload; which variants appear at a level follows from
 /// the level's role (see module docs).
@@ -604,9 +608,9 @@ impl Hierarchy {
             })
             .collect();
         let levels = cfg
-            .level_configs()
-            .into_iter()
-            .map(|lc| CacheLevel::new(lc, n))
+            .levels
+            .iter()
+            .map(|lc| CacheLevel::new(lc.clone(), n))
             .collect();
         Self {
             levels,
@@ -945,7 +949,7 @@ impl Hierarchy {
                 // Structural stall: retry the whole first-level access
                 // after the retry delay (the repeated tag lookup is
                 // charged to the power model).
-                let at = now + self.cfg.mshr_retry as Cycle;
+                let at = now + MSHR_RETRY;
                 self.retry_min = self.retry_min.min(at);
                 self.retries.push(
                     at,
@@ -1077,7 +1081,7 @@ impl Hierarchy {
             }
             Ok(false) => {}
             Err(_) => {
-                let at = now + self.cfg.mshr_retry as Cycle;
+                let at = now + MSHR_RETRY;
                 self.retry_min = self.retry_min.min(at);
                 self.retries.push(
                     at,
@@ -1187,7 +1191,7 @@ impl Hierarchy {
             }
             Ok(false) => {}
             Err(_) => {
-                let at = now + self.cfg.mshr_retry as Cycle;
+                let at = now + MSHR_RETRY;
                 self.schedule(
                     at,
                     Ev::Lookup {
@@ -1277,7 +1281,7 @@ impl Hierarchy {
                 }
             }
             Err(_) => {
-                let at = now + self.cfg.mshr_retry as Cycle;
+                let at = now + MSHR_RETRY;
                 self.schedule(
                     at,
                     Ev::Lookup {
@@ -1300,13 +1304,6 @@ impl Hierarchy {
     fn issue_prefetch(&mut self, core: usize, trigger: LineAddr, line: LineAddr, now: Cycle) {
         let last = self.last();
         if line.page_number() != trigger.page_number() {
-            return;
-        }
-        // Optional bandwidth guard (off by default): drop the candidate
-        // when its channel's read queue is past quarter occupancy — the
-        // same headroom rule Hermes applies to speculative reads — so
-        // prefetches stop displacing demand fills under contention.
-        if self.cfg.pf_bandwidth_guard && !self.spec_read_headroom(line, now) {
             return;
         }
         if self.levels[last].mshr_in_use(core) + PF_MSHR_RESERVE
@@ -1791,7 +1788,7 @@ impl Hierarchy {
         // and trace side effects: the tag array and MSHR table are not
         // walked. This is the dominant case under MSHR saturation
         // (thousands of parked accesses re-attempting every
-        // `mshr_retry` cycles) and is bit-exact by construction.
+        // `MSHR_RETRY` cycles) and is bit-exact by construction.
         if now >= self.retry_min {
             let mut i = 0;
             while i < self.retries.len() {
@@ -1808,7 +1805,7 @@ impl Hierarchy {
                             }
                         }
                         self.levels[0].count_rejected_retry();
-                        self.retries.repark(i, now + self.cfg.mshr_retry as Cycle);
+                        self.retries.repark(i, now + MSHR_RETRY);
                     } else {
                         self.retries.swap_remove(i);
                         match r.walk {

@@ -378,14 +378,14 @@ mod tests {
         let spec = &suite::smoke_suite()[1]; // stream
         let nopf = run_one(small_cfg(), spec, 5_000, 20_000);
         let pf = run_one(
-            small_cfg().with_prefetcher(PrefetcherKind::Streamer),
+            small_cfg().with_prefetcher(PrefetcherKind::Pythia),
             spec,
             5_000,
             20_000,
         );
         assert!(
             pf.cores[0].ipc() > nopf.cores[0].ipc() * 1.05,
-            "streamer must speed up a stream: {} vs {}",
+            "Pythia must speed up a stream: {} vs {}",
             pf.cores[0].ipc(),
             nopf.cores[0].ipc()
         );

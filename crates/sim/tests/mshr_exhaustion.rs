@@ -40,7 +40,7 @@ fn topology(depth: usize) -> Vec<LevelConfig> {
 
 fn config(depth: usize) -> SystemConfig {
     SystemConfig {
-        levels: Some(topology(depth)),
+        levels: topology(depth),
         ..SystemConfig::baseline_1c().with_prefetcher(hermes_prefetch::PrefetcherKind::None)
     }
 }

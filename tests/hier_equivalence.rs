@@ -117,22 +117,6 @@ fn generic_hierarchy_matches_pre_refactor_goldens_2core() {
     assert_eq!(digest(&r), GOLDEN_2C, "2-core mix diverged");
 }
 
-#[test]
-fn explicit_default_topology_matches_implicit() {
-    // Spelling out the classic stack through `with_levels` must be
-    // indistinguishable from leaving `levels` at `None`.
-    let smoke = suite::smoke_suite();
-    let implicit = SystemConfig::baseline_1c();
-    let explicit = implicit.clone().with_levels(vec![
-        LevelConfig::private(implicit.l1.clone()),
-        LevelConfig::private(implicit.l2.clone()),
-        LevelConfig::shared(implicit.llc_per_core.clone()),
-    ]);
-    let a = run_one(implicit, &smoke[3], 3_000, 10_000);
-    let b = run_one(explicit, &smoke[3], 3_000, 10_000);
-    assert_eq!(digest(&a), digest(&b));
-}
-
 /// A small 2-level topology: private L1 straight to a shared LLC.
 fn two_level() -> SystemConfig {
     SystemConfig::baseline_1c().with_levels(vec![
@@ -149,12 +133,12 @@ fn two_level() -> SystemConfig {
 fn four_level() -> SystemConfig {
     let base = SystemConfig::baseline_1c();
     SystemConfig::baseline_1c().with_levels(vec![
-        LevelConfig::private(base.l1.clone()),
-        LevelConfig::private(base.l2.clone()),
+        base.levels[0].clone(),
+        base.levels[1].clone(),
         LevelConfig::private(
             CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
         ),
-        LevelConfig::shared(base.llc_per_core.clone()),
+        base.levels[2].clone(),
     ])
 }
 
@@ -280,7 +264,7 @@ fn deeper_hierarchies_run_end_to_end() {
     // loads sanely, and report the right on-chip latency to Hermes.
     let smoke = suite::smoke_suite();
     for (cfg, levels, latency) in [(two_level(), 2, 40), (four_level(), 4, 70)] {
-        assert_eq!(cfg.level_configs().len(), levels);
+        assert_eq!(cfg.levels.len(), levels);
         assert_eq!(cfg.hierarchy_latency(), latency);
         let r = run_one(cfg, &smoke[0], 2_000, 8_000);
         assert_eq!(r.cores[0].instructions, 8_000);
