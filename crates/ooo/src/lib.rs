@@ -26,25 +26,35 @@
 //!   memory system; otherwise the load issues to the hierarchy — which is
 //!   where POPET predicts and Hermes may fire its speculative read.
 //!   Stores write to the memory system at retirement, in order, exactly
-//!   like the legacy core.
+//!   like the legacy core. Stores are numbered in dispatch order, so a
+//!   load finds its older stores by position, learns whether any of
+//!   them is unknown from the oldest unknown store alone, and a store's
+//!   agen releases, oldest first, only the parked loads older than the
+//!   next unknown store.
 //! * **Branches** resolve at execute; a misprediction injects a fetch
 //!   bubble until `resolve + branch_penalty` and counts a flush (no
 //!   wrong-path execution is modelled, matching the legacy core).
 //!
 //! Fast-forward contract: [`OooCore::next_work_at`] returns the earliest
 //! of the next scheduled event (agen/execute completion), the earliest
-//! ready-queue entry, the ROB head's completion, and the end of the fetch
-//! bubble while the ROB has room — and [`OooCore::skip_stalled`]
-//! attributes a skipped span exactly as that many no-op ticks would
-//! (including `rob_occupancy_sum`), so results are bit-identical with
-//! fast-forward on or off.
+//! ready-queue entry, the ROB head's completion, and — unless dispatch
+//! is structurally blocked — the end of the fetch bubble. Dispatch is
+//! blocked when the ROB is full, or when the last fetch stage, past any
+//! misprediction bubble, stopped on a full RS or on the skid
+//! instruction's full LQ/SQ partition: only select, retire or an event
+//! can lift that, and the other terms cover all three. Before that
+//! cycle a tick changes nothing but counters, and
+//! [`OooCore::skip_stalled`] adds exactly those counters per skipped
+//! cycle (`rob_occupancy_sum`, the head-stall class, and
+//! `rs_full_stalls` or `lsq_full_stalls` while dispatch is blocked), so
+//! results are bit-identical with fast-forward on or off.
 //!
 //! [`AnyCore`] is the config-driven dispatcher `hermes-sim` instantiates:
 //! `CoreModel::Legacy` (the default) wraps the unchanged legacy core, so
 //! every historical configuration stays byte-identical.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use hermes_cpu::config::{CoreConfig, CoreModel, OooConfig};
 use hermes_cpu::port::{LoadIssue, MemoryPort, ServedBy, StoreIssue};
@@ -112,17 +122,31 @@ struct Entry {
     served: Option<ServedBy>,
     issued_mem: bool,
     blocked_cycles: u64,
+    /// Stores dispatched before this instruction: a store's own SQ
+    /// ordinal, and for a load the bound below which every store is
+    /// older than it.
+    stores_before: u64,
 }
 
-/// One program-ordered load/store-queue slot. `word` is the 8-byte-word
+/// One program-ordered store-queue slot. `word` is the 8-byte-word
 /// address used for forwarding matches; `addr_known` flips when address
 /// generation completes.
 #[derive(Debug, Clone, Copy)]
-struct LsqSlot {
-    seq: u64,
-    store: bool,
+struct SqSlot {
     addr_known: bool,
     word: u64,
+}
+
+/// A structural stall the fetch stage hit after the misprediction
+/// bubble: it recurs every tick, with the same counter, until select,
+/// retire or an event frees the resource.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DispatchStall {
+    /// The RS pool is full (`rs_full_stalls`).
+    Rs,
+    /// The skid instruction's LQ/SQ partition is full
+    /// (`lsq_full_stalls`).
+    Lsq,
 }
 
 /// The cycle-driven out-of-order core.
@@ -146,13 +170,24 @@ pub struct OooCore {
     /// cycle; the entry's state disambiguates the kind.
     events: BinaryHeap<Reverse<(Cycle, u64)>>,
     rs_used: usize,
-    lsq: VecDeque<LsqSlot>,
     lq_used: usize,
-    sq_used: usize,
+    /// In-flight stores in program order. Stores are numbered by
+    /// dispatch order (their SQ ordinal); the queue holds ordinals
+    /// `stores_dispatched - sq.len()..stores_dispatched`.
+    sq: VecDeque<SqSlot>,
+    stores_dispatched: u64,
+    /// SQ ordinal of the oldest store whose address is still unknown
+    /// (`stores_dispatched` when every address is known).
+    unknown_store: u64,
+    /// Loads parked on an older unknown store address, by sequence
+    /// number (program order).
+    parked: BTreeSet<u64>,
     /// Skid buffer: an instruction pulled from the trace that could not
     /// enter its queue this cycle (nothing is dropped).
     pending: Option<Instr>,
     fetch_stall_until: Cycle,
+    /// What stopped the last fetch stage, if it was a structural stall.
+    dispatch_stall: Option<DispatchStall>,
     bp: PerceptronBp,
     stats: CoreStats,
 }
@@ -183,11 +218,14 @@ impl OooCore {
             ready: BinaryHeap::new(),
             events: BinaryHeap::new(),
             rs_used: 0,
-            lsq: VecDeque::new(),
             lq_used: 0,
-            sq_used: 0,
+            sq: VecDeque::new(),
+            stores_dispatched: 0,
+            unknown_store: 0,
+            parked: BTreeSet::new(),
             pending: None,
             fetch_stall_until: 0,
+            dispatch_stall: None,
             bp: PerceptronBp::new(),
             stats: CoreStats::default(),
             cfg,
@@ -228,7 +266,7 @@ impl OooCore {
 
     /// Current load+store queue occupancy.
     pub fn lsq_occupancy(&self) -> usize {
-        self.lq_used + self.sq_used
+        self.lq_used + self.sq.len()
     }
 
     fn waiter_slot(&self, seq: u64) -> usize {
@@ -248,6 +286,39 @@ impl OooCore {
         }
     }
 
+    /// ROB index of the load or store `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not an in-flight memory instruction (an LSQ
+    /// protocol violation).
+    fn lsq_entry(&self, seq: u64) -> usize {
+        match self.entry_index(seq) {
+            Some(idx) if matches!(self.rob[idx].kind, EntryKind::Load | EntryKind::Store) => idx,
+            _ => panic!("LSQ protocol violation: seq {seq} holds no LSQ slot"),
+        }
+    }
+
+    /// SQ ordinal of the oldest store still in the store queue.
+    fn sq_head(&self) -> u64 {
+        self.stores_dispatched - self.sq.len() as u64
+    }
+
+    /// Position in `sq` of the store with SQ ordinal `ord`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that store is not in the store queue (an LSQ protocol
+    /// violation).
+    fn sq_index(&self, ord: u64) -> usize {
+        let head = self.sq_head();
+        assert!(
+            (head..self.stores_dispatched).contains(&ord),
+            "LSQ protocol violation: store #{ord} is not in the store queue"
+        );
+        (ord - head) as usize
+    }
+
     /// Advances the core by one cycle: completion events, select, retire,
     /// then fetch/dispatch (so wakeups at `now` are selectable at `now`,
     /// and newly dispatched work issues no earlier than `now + 1`).
@@ -263,10 +334,12 @@ impl OooCore {
     /// accumulate stalls, assuming no [`OooCore::finish_load`] arrives in
     /// between: the next scheduled agen/execute completion, the earliest
     /// ready-queue entry, the ROB head's completion, or the end of a
-    /// fetch bubble while the ROB has room. `Cycle::MAX` means the core
-    /// is blocked entirely on the memory system. May return a cycle at or
-    /// before `now` (ready work, or fetch possible right now), which
-    /// simply prevents a fast-forward jump.
+    /// fetch bubble unless dispatch is structurally blocked (full ROB,
+    /// or a full RS or LQ/SQ partition stopped the last fetch stage).
+    /// `Cycle::MAX` means the core is blocked entirely on the memory
+    /// system. May return a cycle at or before `now` (ready work, or
+    /// fetch possible right now), which simply prevents a fast-forward
+    /// jump.
     pub fn next_work_at(&self) -> Cycle {
         let mut at = Cycle::MAX;
         if let Some(&Reverse((t, _))) = self.events.peek() {
@@ -280,7 +353,7 @@ impl OooCore {
                 if head.state == St::Done {
                     at = at.min(head.done_at);
                 }
-                if self.rob.len() < self.cfg.rob_size {
+                if self.rob.len() < self.cfg.rob_size && self.dispatch_stall.is_none() {
                     at = at.min(self.fetch_stall_until);
                 }
             }
@@ -291,17 +364,25 @@ impl OooCore {
 
     /// Accounts `cycles` skipped ticks in bulk, attributing them exactly
     /// as that many no-op [`OooCore::tick`] calls would: `rob.len()` per
-    /// cycle into `rob_occupancy_sum`, plus the blocked-head / other /
-    /// empty-ROB stall classification. Only valid for spans ending before
-    /// [`OooCore::next_work_at`] — over such a span no event fires, no
-    /// instruction is ready, nothing retires, and fetch is either bubbled
-    /// past the span or blocked by a full ROB (both attempt-free), so
-    /// every skipped tick mutates exactly these counters.
+    /// cycle into `rob_occupancy_sum`, the blocked-head / other /
+    /// empty-ROB stall classification, and one `rs_full_stalls` or
+    /// `lsq_full_stalls` per cycle while the last fetch stage stopped on
+    /// a full RS or LQ/SQ partition. Only valid for spans ending before
+    /// [`OooCore::next_work_at`]: over such a span no event fires, no
+    /// instruction is ready and nothing retires, so fetch either stays
+    /// inside the misprediction bubble or the ROB stays full (both
+    /// attempt-free), or it hits the same structural stall every cycle.
+    /// Every skipped tick therefore mutates exactly these counters.
     pub fn skip_stalled(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
         }
         self.stats.rob_occupancy_sum += self.rob.len() as u64 * cycles;
+        match self.dispatch_stall {
+            Some(DispatchStall::Rs) => self.stats.rs_full_stalls += cycles,
+            Some(DispatchStall::Lsq) => self.stats.lsq_full_stalls += cycles,
+            None => {}
+        }
         match self.rob.front_mut() {
             None => self.stats.empty_rob_cycles += cycles,
             Some(head) => match head.state {
@@ -328,11 +409,11 @@ impl OooCore {
     }
 
     /// Pops every due pipeline event: store address generation (marks the
-    /// SQ slot known, completes the store, and re-checks parked loads),
+    /// SQ slot known, completes the store, and releases parked loads),
     /// load address generation (LSQ disambiguation), and ALU/branch
     /// execution completion.
     fn process_events(&mut self, now: Cycle, port: &mut dyn MemoryPort) {
-        let mut recheck = false;
+        let mut release = false;
         while let Some(&Reverse((at, seq))) = self.events.peek() {
             if at > now {
                 break;
@@ -341,14 +422,11 @@ impl OooCore {
             let idx = self.entry_index(seq).expect("event for retired entry");
             match self.rob[idx].state {
                 St::Agen => match self.rob[idx].kind {
-                    EntryKind::Load => {
-                        self.mark_lsq_known(seq);
-                        self.resolve_load(seq, now, port);
-                    }
+                    EntryKind::Load => self.resolve_load(seq, now, port),
                     EntryKind::Store => {
-                        self.mark_lsq_known(seq);
+                        self.mark_store_known(seq);
                         self.complete(seq, now);
-                        recheck = true;
+                        release = true;
                     }
                     _ => unreachable!("agen event for non-memory entry"),
                 },
@@ -356,51 +434,52 @@ impl OooCore {
                 s => unreachable!("pipeline event for entry in state {s:?}"),
             }
         }
-        if recheck {
-            self.recheck_parked_loads(now, port);
+        if release {
+            self.release_parked_loads(now, port);
         }
     }
 
-    fn mark_lsq_known(&mut self, seq: u64) {
-        if let Some(slot) = self.lsq.iter_mut().find(|s| s.seq == seq) {
-            slot.addr_known = true;
+    /// Marks the store `seq`'s address known and advances the
+    /// oldest-unknown-store pointer past every resolved store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` holds no SQ slot (an LSQ protocol violation).
+    fn mark_store_known(&mut self, seq: u64) {
+        let idx = self.lsq_entry(seq);
+        let slot = self.sq_index(self.rob[idx].stores_before);
+        self.sq[slot].addr_known = true;
+        while self.unknown_store < self.stores_dispatched
+            && self.sq[self.sq_index(self.unknown_store)].addr_known
+        {
+            self.unknown_store += 1;
         }
     }
 
     /// Disambiguates a load whose address is now known against the older
-    /// stores in the LSQ: parks it if any older store address is still
-    /// unknown, forwards from the youngest matching older store, or
+    /// stores in the SQ: parks it if any older store address is still
+    /// unknown, forwards if an older store writes the same word, or
     /// issues it to the memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` holds no LSQ slot (an LSQ protocol violation).
     fn resolve_load(&mut self, seq: u64, now: Cycle, port: &mut dyn MemoryPort) {
-        let word = self
-            .lsq
-            .iter()
-            .find(|s| s.seq == seq)
-            .expect("load missing from LSQ")
-            .word;
-        let mut unknown_older = false;
-        let mut forward = false;
-        for s in &self.lsq {
-            if s.seq >= seq {
-                break;
-            }
-            if !s.store {
-                continue;
-            }
-            if !s.addr_known {
-                // An older store whose address is still unknown may alias:
-                // conservative disambiguation parks the load.
-                unknown_older = true;
-                break;
-            }
-            if s.word == word {
-                forward = true; // youngest older match wins (last seen).
-            }
-        }
-        let idx = self.entry_index(seq).expect("load entry present");
-        if unknown_older {
+        let idx = self.lsq_entry(seq);
+        let older = self.rob[idx].stores_before;
+        if self.unknown_store < older {
+            // An older store whose address is still unknown may alias:
+            // conservative disambiguation parks the load.
             self.rob[idx].state = St::StoreWait;
-        } else if forward {
+            self.parked.insert(seq);
+            return;
+        }
+        // Every older store address is known; the SQ holds those not yet
+        // retired at its front.
+        let word = self.rob[idx].vaddr.raw() >> 3;
+        let n_older = older.saturating_sub(self.sq_head()) as usize;
+        let forward = self.sq.range(..n_older).rev().any(|s| s.word == word);
+        if forward {
             self.stats.forwarded_loads += 1;
             self.rob[idx].served = Some(ServedBy::L1);
             self.complete(seq, now + 1);
@@ -424,16 +503,16 @@ impl OooCore {
         }
     }
 
-    /// Re-runs disambiguation for every parked load, oldest first, after
-    /// one or more store addresses resolved this cycle.
-    fn recheck_parked_loads(&mut self, now: Cycle, port: &mut dyn MemoryPort) {
-        let parked: Vec<u64> = self
-            .rob
-            .iter()
-            .filter(|e| e.state == St::StoreWait)
-            .map(|e| e.seq)
-            .collect();
-        for seq in parked {
+    /// Re-runs disambiguation, oldest first, for every parked load older
+    /// than the oldest store still unknown, after one or more store
+    /// addresses resolved this cycle. Those loads are a prefix of the
+    /// program-ordered parked list; every younger one would park again.
+    fn release_parked_loads(&mut self, now: Cycle, port: &mut dyn MemoryPort) {
+        while let Some(&seq) = self.parked.first() {
+            if self.rob[self.lsq_entry(seq)].stores_before > self.unknown_store {
+                break;
+            }
+            self.parked.pop_first();
             self.resolve_load(seq, now, port);
         }
     }
@@ -484,8 +563,6 @@ impl OooCore {
                 retired_now += 1;
                 match e.kind {
                     EntryKind::Load => {
-                        debug_assert_eq!(self.lsq.front().map(|s| s.seq), Some(e.seq));
-                        self.lsq.pop_front();
                         self.stats.loads += 1;
                         self.lq_used -= 1;
                         let served = e.served.unwrap_or(ServedBy::L1);
@@ -508,10 +585,9 @@ impl OooCore {
                         }
                     }
                     EntryKind::Store => {
-                        debug_assert_eq!(self.lsq.front().map(|s| s.seq), Some(e.seq));
-                        self.lsq.pop_front();
+                        debug_assert_eq!(e.stores_before, self.sq_head());
+                        self.sq.pop_front();
                         self.stats.stores += 1;
-                        self.sq_used -= 1;
                         port.issue_store(
                             StoreIssue {
                                 core: self.id,
@@ -536,6 +612,7 @@ impl OooCore {
     }
 
     fn fetch_and_dispatch(&mut self, now: Cycle) {
+        self.dispatch_stall = None;
         if now < self.fetch_stall_until {
             return;
         }
@@ -545,30 +622,23 @@ impl OooCore {
             }
             if self.rs_used >= self.ooo.rs_entries {
                 self.stats.rs_full_stalls += 1;
+                self.dispatch_stall = Some(DispatchStall::Rs);
                 break;
             }
             let instr = match self.pending.take() {
                 Some(i) => i,
                 None => self.trace.next_instr(),
             };
-            match instr.mem {
-                Some(m) if m.kind == MemKind::Load => {
-                    if self.lq_used >= self.cfg.lq_size {
-                        self.stats.lsq_full_stalls += 1;
-                        self.pending = Some(instr);
-                        break;
-                    }
-                    self.lq_used += 1;
-                }
-                Some(_) => {
-                    if self.sq_used >= self.cfg.sq_size {
-                        self.stats.lsq_full_stalls += 1;
-                        self.pending = Some(instr);
-                        break;
-                    }
-                    self.sq_used += 1;
-                }
-                None => {}
+            let partition_full = match instr.mem {
+                Some(m) if m.kind == MemKind::Load => self.lq_used >= self.cfg.lq_size,
+                Some(_) => self.sq.len() >= self.cfg.sq_size,
+                None => false,
+            };
+            if partition_full {
+                self.stats.lsq_full_stalls += 1;
+                self.dispatch_stall = Some(DispatchStall::Lsq);
+                self.pending = Some(instr);
+                break;
             }
             let stop_fetch = self.dispatch(instr, now);
             if stop_fetch {
@@ -624,13 +694,18 @@ impl OooCore {
             self.rat[d as usize] = RatEntry::PendingOn(seq);
         }
 
-        if let Some(m) = instr.mem {
-            self.lsq.push_back(LsqSlot {
-                seq,
-                store: m.kind == MemKind::Store,
-                addr_known: false,
-                word: m.vaddr.raw() >> 3,
-            });
+        let stores_before = self.stores_dispatched;
+        let vaddr = instr.mem.map(|m| m.vaddr).unwrap_or(VirtAddr::new(0));
+        match kind {
+            EntryKind::Load => self.lq_used += 1,
+            EntryKind::Store => {
+                self.sq.push_back(SqSlot {
+                    addr_known: false,
+                    word: vaddr.raw() >> 3,
+                });
+                self.stores_dispatched += 1;
+            }
+            EntryKind::Alu | EntryKind::Branch => {}
         }
 
         self.rob.push_back(Entry {
@@ -643,11 +718,12 @@ impl OooCore {
             dst: instr.dst_reg,
             exec_latency: instr.exec_latency.max(1),
             pc: instr.pc,
-            vaddr: instr.mem.map(|m| m.vaddr).unwrap_or(VirtAddr::new(0)),
+            vaddr,
             mispredicted,
             served: None,
             issued_mem: false,
             blocked_cycles: 0,
+            stores_before,
         });
         self.rs_used += 1;
 
@@ -843,6 +919,7 @@ mod tests {
         served: ServedBy,
         pending: Vec<(Cycle, u64)>,
         issued: Vec<LoadIssue>,
+        issued_at: Vec<Cycle>,
         stores: Vec<StoreIssue>,
         lifecycle: Vec<(u64, Cycle, &'static str)>,
     }
@@ -854,6 +931,7 @@ mod tests {
                 served,
                 pending: Vec::new(),
                 issued: Vec::new(),
+                issued_at: Vec::new(),
                 stores: Vec::new(),
                 lifecycle: Vec::new(),
             }
@@ -876,6 +954,7 @@ mod tests {
     impl MemoryPort for StubMem {
         fn issue_load(&mut self, req: LoadIssue, now: Cycle) {
             self.issued.push(req);
+            self.issued_at.push(now);
             self.pending.push((now + self.latency, req.token));
         }
 
@@ -902,6 +981,144 @@ mod tests {
             mem.deliver_due(now, core);
             core.tick(now, mem);
         }
+    }
+
+    /// Runs `core` the way the calendar loop does with fast-forward on:
+    /// it ticks only when `next_work_at` or a load delivery is due, and
+    /// crosses every other gap with one `skip_stalled` call. Returns the
+    /// number of ticks.
+    fn run_skipping(core: &mut OooCore, mem: &mut StubMem, cycles: Cycle) -> u64 {
+        let (mut now, mut ticks) = (0, 0);
+        while now < cycles {
+            mem.deliver_due(now, core);
+            let work = core.next_work_at();
+            if work <= now {
+                core.tick(now, mem);
+                ticks += 1;
+                now += 1;
+            } else {
+                let delivery = mem.pending.iter().map(|&(t, _)| t).min();
+                let until = work.min(delivery.unwrap_or(Cycle::MAX)).min(cycles);
+                core.skip_stalled(until - now);
+                now = until;
+            }
+        }
+        ticks
+    }
+
+    /// Ticks one core through every cycle and drives an identical one
+    /// with `run_skipping`: both must end with equal statistics and the
+    /// same loads issued, while the skipping core ticks on under a
+    /// quarter of the cycles. Returns the common statistics.
+    fn assert_skipping_matches_ticking(make: impl Fn() -> OooCore) -> CoreStats {
+        const CYCLES: Cycle = 4_000;
+        let (mut ticked, mut skipped) = (make(), make());
+        let mut mem_t = StubMem::new(300, ServedBy::Dram);
+        let mut mem_s = StubMem::new(300, ServedBy::Dram);
+        run(&mut ticked, &mut mem_t, CYCLES);
+        let ticks = run_skipping(&mut skipped, &mut mem_s, CYCLES);
+        assert_eq!(ticked.stats(), skipped.stats());
+        assert_eq!(mem_t.issued_at, mem_s.issued_at);
+        let tokens = |m: &StubMem| m.issued.iter().map(|l| l.token).collect::<Vec<_>>();
+        assert_eq!(tokens(&mem_t), tokens(&mem_s));
+        assert!(ticks < CYCLES / 4, "ticked {ticks} of {CYCLES} cycles");
+        *ticked.stats()
+    }
+
+    /// Ticks `core` at `now` and asserts dispatch was structurally
+    /// blocked: the tick bumped the counter `stalls` reads, and no work
+    /// is due at the next cycle.
+    fn assert_blocked_at(
+        core: &mut OooCore,
+        mem: &mut StubMem,
+        now: Cycle,
+        stalls: fn(&CoreStats) -> u64,
+    ) {
+        let before = stalls(core.stats());
+        mem.deliver_due(now, core);
+        core.tick(now, mem);
+        assert_eq!(stalls(core.stats()), before + 1, "dispatch ran at {now}");
+        assert!(
+            core.next_work_at() > now + 1,
+            "blocked core due at {}",
+            now + 1
+        );
+    }
+
+    fn rs_full(s: &CoreStats) -> u64 {
+        s.rs_full_stalls
+    }
+
+    fn lsq_full(s: &CoreStats) -> u64 {
+        s.lsq_full_stalls
+    }
+
+    /// Four independent loads into a 2-entry load queue.
+    fn lq_full_core() -> OooCore {
+        let cfg = CoreConfig {
+            lq_size: 2,
+            ..CoreConfig::baseline()
+        };
+        let instrs = (0..4)
+            .map(|i| {
+                Instr::load(
+                    0x400000 + i * 4,
+                    VirtAddr::new(0x1000 * (i + 1)),
+                    Some(8 + i as u8),
+                    [None, None],
+                )
+            })
+            .collect();
+        mk(cfg, instrs)
+    }
+
+    /// A slow load ahead of three stores into a 2-entry store queue: the
+    /// stores complete but cannot retire past the load.
+    fn sq_full_core() -> OooCore {
+        let cfg = CoreConfig {
+            sq_size: 2,
+            ..CoreConfig::baseline()
+        };
+        let mut instrs = vec![Instr::load(
+            0x400000,
+            VirtAddr::new(0x9000),
+            Some(1),
+            [None, None],
+        )];
+        instrs.extend(
+            (1..4).map(|i| Instr::store(0x400000 + i * 4, VirtAddr::new(0x2000 * i), [None, None])),
+        );
+        mk(cfg, instrs)
+    }
+
+    /// A pointer chase behind a 4-entry RS.
+    fn rs_full_core() -> OooCore {
+        let tiny = OooConfig {
+            rs_entries: 4,
+            ..OooConfig::baseline()
+        };
+        mk(
+            CoreConfig::baseline().with_model(CoreModel::OoO(tiny)),
+            chase(),
+        )
+    }
+
+    /// Two slow loads fill a 2-entry load queue, then a never-taken
+    /// branch mispredicts on the cold perceptron; the first instruction
+    /// fetched after the bubble is a third load, which finds the queue
+    /// still full.
+    fn bubble_then_lq_full_core() -> OooCore {
+        let cfg = CoreConfig {
+            lq_size: 2,
+            ..CoreConfig::baseline()
+        };
+        let instrs = vec![
+            Instr::load(0x400000, VirtAddr::new(0x1000), Some(1), [None, None]),
+            Instr::load(0x400004, VirtAddr::new(0x2000), Some(2), [None, None]),
+            Instr::branch(0x400008, false, None),
+            Instr::load(0x40000c, VirtAddr::new(0x3000), Some(3), [None, None]),
+        ];
+        mk(cfg, instrs)
     }
 
     fn chase() -> Vec<Instr> {
@@ -1262,6 +1479,97 @@ mod tests {
         assert_eq!(ticked.stats(), skipped.stats());
         assert!(ticked.stats().stall_cycles_offchip >= 500);
         assert!(ticked.stats().rob_occupancy_sum > 0);
+    }
+
+    #[test]
+    fn lq_full_span_skips_exactly() {
+        let mut core = lq_full_core();
+        let mut mem = StubMem::new(300, ServedBy::Dram);
+        run(&mut core, &mut mem, 20);
+        assert_blocked_at(&mut core, &mut mem, 20, lsq_full);
+        let s = assert_skipping_matches_ticking(lq_full_core);
+        assert!(s.lsq_full_stalls > 2_000, "{}", s.lsq_full_stalls);
+    }
+
+    #[test]
+    fn sq_full_span_skips_exactly() {
+        let mut core = sq_full_core();
+        let mut mem = StubMem::new(300, ServedBy::Dram);
+        run(&mut core, &mut mem, 20);
+        assert_blocked_at(&mut core, &mut mem, 20, lsq_full);
+        let s = assert_skipping_matches_ticking(sq_full_core);
+        assert!(s.lsq_full_stalls > 2_000, "{}", s.lsq_full_stalls);
+        assert!(s.stores > 0);
+    }
+
+    #[test]
+    fn rs_full_span_skips_exactly() {
+        let mut core = rs_full_core();
+        let mut mem = StubMem::new(300, ServedBy::Dram);
+        run(&mut core, &mut mem, 20);
+        assert_blocked_at(&mut core, &mut mem, 20, rs_full);
+        let s = assert_skipping_matches_ticking(rs_full_core);
+        assert!(s.rs_full_stalls > 2_000, "{}", s.rs_full_stalls);
+    }
+
+    #[test]
+    fn bubble_ending_in_blocked_dispatch_skips_exactly() {
+        let mut core = bubble_then_lq_full_core();
+        let mut mem = StubMem::new(300, ServedBy::Dram);
+        run(&mut core, &mut mem, 4);
+        // Inside the bubble the LQ is already full, but fetch makes no
+        // attempt: the bubble's end is the next work, and no stall counts.
+        let end = core.next_work_at();
+        assert!((5..Cycle::MAX).contains(&end), "bubble ends at {end}");
+        run(&mut core, &mut mem, end);
+        assert_eq!(core.stats().lsq_full_stalls, 0);
+        assert_blocked_at(&mut core, &mut mem, end, lsq_full);
+        let s = assert_skipping_matches_ticking(bubble_then_lq_full_core);
+        assert!(s.flushes > 0 && s.lsq_full_stalls > 0);
+    }
+
+    #[test]
+    fn parked_loads_reach_the_port_oldest_first() {
+        // Loads 4 and 5 park behind store 1, whose address waits on the
+        // slow load 0. Load 4's address waits on a two-op ALU chain, so
+        // load 5 parks first; the store's agen must still release them
+        // on one cycle in program order, followed by the next
+        // iteration's load 6 (also older than any unknown store).
+        let instrs = vec![
+            Instr::load(0x400000, VirtAddr::new(0x9000), Some(1), [None, None]),
+            Instr::store(0x400004, VirtAddr::new(0x2000), [Some(1), None]),
+            Instr::alu(0x400008, Some(2), [None, None]),
+            Instr::alu(0x40000c, Some(2), [Some(2), None]),
+            Instr::load(0x400010, VirtAddr::new(0x5000), Some(3), [Some(2), None]),
+            Instr::load(0x400014, VirtAddr::new(0x6000), Some(4), [None, None]),
+        ];
+        let mut core = mk(CoreConfig::baseline(), instrs);
+        let mut mem = StubMem::new(300, ServedBy::Dram);
+        run(&mut core, &mut mem, 10);
+        assert_eq!(
+            core.parked.iter().take(3).copied().collect::<Vec<_>>(),
+            [4, 5, 6]
+        );
+        run(&mut core, &mut mem, 400);
+        let first: Vec<u64> = mem.issued.iter().take(4).map(|l| l.token).collect();
+        assert_eq!(first, [0, 4, 5, 6]);
+        assert!(mem.issued_at[1] > 300);
+        assert!(mem.issued_at[1..4].iter().all(|&t| t == mem.issued_at[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "LSQ protocol violation")]
+    fn marking_a_missing_store_panics() {
+        let mut core = mk(CoreConfig::baseline(), chase());
+        core.mark_store_known(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "LSQ protocol violation")]
+    fn resolving_a_missing_load_panics() {
+        let mut core = mk(CoreConfig::baseline(), chase());
+        let mut mem = StubMem::new(5, ServedBy::L1);
+        core.resolve_load(7, 0, &mut mem);
     }
 
     #[test]

@@ -83,10 +83,29 @@ fn calendar_matches_tick_vm_on() {
 
 #[test]
 fn calendar_matches_tick_ooo_core() {
-    let cfg = SystemConfig::baseline_1c().with_core_model(CoreModel::OoO(OooConfig::baseline()));
+    // The baseline dispatches into a full RS most cycles, LQ/SQ 16/8
+    // into a full load or store queue, and a 4-entry RS fills behind
+    // any load miss: every structural stall the calendar loop skips.
+    let ooo = |o: OooConfig| SystemConfig::baseline_1c().with_core_model(CoreModel::OoO(o));
+    let configs = [
+        ("1c-ooo", ooo(OooConfig::baseline())),
+        (
+            "1c-ooo-lsq16x8",
+            ooo(OooConfig::baseline()).with_lq(16).with_sq(8),
+        ),
+        (
+            "1c-ooo-rs4",
+            ooo(OooConfig {
+                rs_entries: 4,
+                ..OooConfig::baseline()
+            }),
+        ),
+    ];
     let smoke = suite::smoke_suite();
-    for wi in [0, 1] {
-        assert_equivalent("1c-ooo", cfg.clone(), &smoke[wi..=wi], 2_000, 8_000);
+    for (tag, cfg) in configs {
+        for wi in [0, 1] {
+            assert_equivalent(tag, cfg.clone(), &smoke[wi..=wi], 2_000, 8_000);
+        }
     }
 }
 
