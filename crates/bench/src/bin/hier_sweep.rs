@@ -15,7 +15,7 @@
 
 use hermes::{HermesConfig, PredictorKind};
 use hermes_bench::{cross, emit, f3, run_grid, speedup_table, speedups, Scale, Table};
-use hermes_cache::{CacheConfig, LevelConfig, ReplacementKind};
+use hermes_cache::{CacheConfig, ReplacementKind};
 use hermes_sim::SystemConfig;
 use hermes_trace::suite;
 use hermes_types::geomean;
@@ -34,9 +34,7 @@ fn topologies() -> Vec<(&'static str, SystemConfig)> {
     let four = base.clone().with_levels(vec![
         base.levels[0].clone(),
         base.levels[1].clone(),
-        LevelConfig::private(
-            CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
-        ),
+        CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
         base.levels[2].clone(),
     ]);
     vec![("hier2", two), ("hier3", three), ("hier4", four)]

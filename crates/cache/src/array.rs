@@ -63,6 +63,24 @@ impl CacheConfig {
         self
     }
 
+    /// The geometry of one instance shared by `cores` cores: capacity and
+    /// MSHR count multiplied by `cores`, everything else kept (the
+    /// paper's "3 MB/core" LLC convention).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scaled set count is not a power of two.
+    pub fn scaled(&self, cores: usize) -> Self {
+        Self::new(
+            self.name.clone(),
+            self.size_bytes * cores as u64,
+            self.ways,
+            self.replacement,
+            self.mshrs * cores,
+        )
+        .with_latency(self.latency)
+    }
+
     /// Number of sets implied by size and associativity.
     pub fn sets(&self) -> usize {
         (self.size_bytes as usize) / (self.ways * LINE_SIZE)

@@ -3,31 +3,29 @@
 //! A [`CacheLevel`] bundles everything a hierarchy engine needs per level
 //! — the set-associative [`CacheArray`]s, the [`MshrTable`]s tracking
 //! outstanding misses, and aggregate [`LevelStats`] — behind a uniform,
-//! core-indexed interface. The level's [`LevelScope`] decides the
-//! structural layout:
+//! core-indexed interface. Its constructor picks the structural layout:
 //!
-//! * [`LevelScope::Private`] — one array + MSHR table per core, each with
-//!   the per-core geometry of the [`LevelConfig`];
-//! * [`LevelScope::Shared`] — a single array + MSHR table serving every
+//! * [`CacheLevel::private`] — one array + MSHR table per core, each with
+//!   the given geometry;
+//! * [`CacheLevel::shared`] — a single array + MSHR table serving every
 //!   core, with capacity and MSHR count scaled by the core count (the
-//!   paper's "3 MB/core" LLC convention).
+//!   paper's "3 MB/core" LLC convention, [`CacheConfig::scaled`]).
 //!
-//! The level is still *passive*: it holds no queues and models no time.
+//! The level is *passive*: it holds no queues and models no time.
 //! Request orchestration — lookup ordering, latencies, fills, retries,
 //! the Hermes merge path — stays in the hierarchy engine (`hermes-sim`),
-//! which now drives an arbitrary `Vec<CacheLevel>` instead of a
-//! hardcoded L1/L2/LLC triple. The MSHR waiter payload `W` is chosen by
-//! that engine.
+//! which makes every level but the last private and the last one shared.
+//! The MSHR waiter payload `W` is chosen by that engine.
 //!
 //! # Example
 //!
 //! ```
-//! use hermes_cache::{CacheConfig, CacheLevel, LevelConfig, ReplacementKind};
+//! use hermes_cache::{CacheConfig, CacheLevel, ReplacementKind};
 //! use hermes_types::LineAddr;
 //!
 //! // A shared 2-core level: capacity and MSHRs scale with core count.
 //! let per_core = CacheConfig::new("LLC", 1 << 20, 16, ReplacementKind::Lru, 8);
-//! let mut level: CacheLevel<u32> = CacheLevel::new(LevelConfig::shared(per_core), 2);
+//! let mut level: CacheLevel<u32> = CacheLevel::shared(&per_core, 2);
 //! assert_eq!(level.config().size_bytes, 2 << 20);
 //! assert_eq!(level.mshr_capacity(0), 16);
 //!
@@ -41,72 +39,6 @@ use hermes_types::LineAddr;
 
 use crate::array::{AccessResult, CacheArray, CacheConfig, Evicted};
 use crate::mshr::{MshrFull, MshrTable};
-
-/// Whether a hierarchy level is replicated per core or shared by all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LevelScope {
-    /// One instance per core (L1D/L2 in the paper's Table 4).
-    Private,
-    /// A single instance serving every core, scaled by core count (the
-    /// paper's shared LLC).
-    Shared,
-}
-
-/// Configuration of one hierarchy level: per-core cache geometry plus
-/// the sharing scope.
-///
-/// For a [`LevelScope::Shared`] level the embedded [`CacheConfig`]
-/// describes the *per-core* share; [`LevelConfig::instantiated`] scales
-/// capacity and MSHR count by the core count, exactly like the paper's
-/// "3 MB/core" LLC.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelConfig {
-    /// Per-core cache geometry (capacity, ways, replacement, MSHRs,
-    /// latency).
-    pub cache: CacheConfig,
-    /// Private per core or shared by all cores.
-    pub scope: LevelScope,
-}
-
-impl LevelConfig {
-    /// A core-private level.
-    pub fn private(cache: CacheConfig) -> Self {
-        Self {
-            cache,
-            scope: LevelScope::Private,
-        }
-    }
-
-    /// A level shared by all cores (per-core capacity in `cache`).
-    pub fn shared(cache: CacheConfig) -> Self {
-        Self {
-            cache,
-            scope: LevelScope::Shared,
-        }
-    }
-
-    /// The concrete geometry of one structural instance of this level in
-    /// a `cores`-core system: the config itself for a private level, or
-    /// capacity and MSHRs scaled by `cores` for a shared one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scaled geometry does not yield a power-of-two set
-    /// count (propagated from [`CacheConfig::new`]).
-    pub fn instantiated(&self, cores: usize) -> CacheConfig {
-        match self.scope {
-            LevelScope::Private => self.cache.clone(),
-            LevelScope::Shared => CacheConfig::new(
-                self.cache.name.clone(),
-                self.cache.size_bytes * cores as u64,
-                self.cache.ways,
-                self.cache.replacement,
-                self.cache.mshrs * cores,
-            )
-            .with_latency(self.cache.latency),
-        }
-    }
-}
 
 /// Aggregate event counters for one level (all cores combined).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,7 +66,8 @@ pub struct LevelStats {
 #[derive(Debug, Clone)]
 pub struct CacheLevel<W> {
     cfg: CacheConfig,
-    scope: LevelScope,
+    /// One instance serves every core.
+    shared: bool,
     arrays: Vec<CacheArray>,
     mshrs: Vec<MshrTable<W>>,
     stats: LevelStats,
@@ -149,23 +82,33 @@ pub struct CacheLevel<W> {
 }
 
 impl<W> CacheLevel<W> {
-    /// Builds an empty level for a `cores`-core system.
+    /// A level replicated per core: `cores` instances of `cfg`.
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero or the geometry is invalid.
-    pub fn new(cfg: LevelConfig, cores: usize) -> Self {
+    /// Panics if `cores` is zero.
+    pub fn private(cfg: &CacheConfig, cores: usize) -> Self {
         assert!(cores >= 1, "need at least one core");
-        let inst = cfg.instantiated(cores);
-        let n = match cfg.scope {
-            LevelScope::Private => cores,
-            LevelScope::Shared => 1,
-        };
+        Self::build(cfg.clone(), false, cores)
+    }
+
+    /// A level shared by all `cores`: one instance of `per_core` scaled
+    /// by the core count ([`CacheConfig::scaled`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero or the scaled geometry is invalid.
+    pub fn shared(per_core: &CacheConfig, cores: usize) -> Self {
+        assert!(cores >= 1, "need at least one core");
+        Self::build(per_core.scaled(cores), true, 1)
+    }
+
+    fn build(cfg: CacheConfig, shared: bool, n: usize) -> Self {
         Self {
-            arrays: (0..n).map(|_| CacheArray::new(&inst)).collect(),
-            mshrs: (0..n).map(|_| MshrTable::new(inst.mshrs)).collect(),
-            scope: cfg.scope,
-            cfg: inst,
+            arrays: (0..n).map(|_| CacheArray::new(&cfg)).collect(),
+            mshrs: (0..n).map(|_| MshrTable::new(cfg.mshrs)).collect(),
+            shared,
+            cfg,
             stats: LevelStats::default(),
             epochs: vec![0; n],
         }
@@ -174,20 +117,11 @@ impl<W> CacheLevel<W> {
     /// The structural instance serving `core`.
     #[inline]
     fn slot(&self, core: usize) -> usize {
-        match self.scope {
-            LevelScope::Private => core,
-            LevelScope::Shared => 0,
+        if self.shared {
+            0
+        } else {
+            core
         }
-    }
-
-    /// Sharing scope.
-    pub fn scope(&self) -> LevelScope {
-        self.scope
-    }
-
-    /// Whether the level is shared by all cores.
-    pub fn is_shared(&self) -> bool {
-        self.scope == LevelScope::Shared
     }
 
     /// Display name ("L1D", "L2", ...).
@@ -200,7 +134,7 @@ impl<W> CacheLevel<W> {
         self.cfg.latency
     }
 
-    /// The instantiated (scope-scaled) geometry.
+    /// The instantiated geometry (scaled by the core count when shared).
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
     }
@@ -402,7 +336,7 @@ mod tests {
 
     #[test]
     fn private_level_isolates_cores() {
-        let mut lv: CacheLevel<()> = CacheLevel::new(LevelConfig::private(small_cfg()), 2);
+        let mut lv: CacheLevel<()> = CacheLevel::private(&small_cfg(), 2);
         let line = LineAddr::new(0x40);
         lv.fill(0, line, false, false, 0);
         assert!(lv.probe(0, line));
@@ -412,7 +346,7 @@ mod tests {
 
     #[test]
     fn shared_level_scales_and_aliases() {
-        let mut lv: CacheLevel<()> = CacheLevel::new(LevelConfig::shared(small_cfg()), 4);
+        let mut lv: CacheLevel<()> = CacheLevel::shared(&small_cfg(), 4);
         assert_eq!(lv.config().size_bytes, 4 * 8 * 64);
         assert_eq!(lv.mshr_capacity(3), 16);
         let line = LineAddr::new(0x80);
@@ -422,7 +356,7 @@ mod tests {
 
     #[test]
     fn stats_count_hits_misses_and_rejections() {
-        let mut lv: CacheLevel<u8> = CacheLevel::new(LevelConfig::private(small_cfg()), 1);
+        let mut lv: CacheLevel<u8> = CacheLevel::private(&small_cfg(), 1);
         let line = LineAddr::new(0x40);
         assert!(!lv.access(0, line, 0).hit);
         lv.fill(0, line, false, false, 0);
@@ -446,7 +380,7 @@ mod tests {
 
     #[test]
     fn dirty_evictions_counted() {
-        let mut lv: CacheLevel<()> = CacheLevel::new(LevelConfig::private(small_cfg()), 1);
+        let mut lv: CacheLevel<()> = CacheLevel::private(&small_cfg(), 1);
         // Fill one set (2 ways) with dirty lines, then force an eviction.
         let l = |i: u64| LineAddr::new(i * 4);
         lv.fill(0, l(1), true, false, 0);
@@ -458,7 +392,7 @@ mod tests {
 
     #[test]
     fn invalidate_counts_and_reports_dirty() {
-        let mut lv: CacheLevel<()> = CacheLevel::new(LevelConfig::private(small_cfg()), 2);
+        let mut lv: CacheLevel<()> = CacheLevel::private(&small_cfg(), 2);
         let line = LineAddr::new(0x40);
         lv.fill(1, line, true, false, 0);
         assert_eq!(lv.invalidate(0, line), None, "core 0 never held it");
@@ -469,7 +403,7 @@ mod tests {
 
     #[test]
     fn shared_level_directory_round_trip() {
-        let mut lv: CacheLevel<()> = CacheLevel::new(LevelConfig::shared(small_cfg()), 4);
+        let mut lv: CacheLevel<()> = CacheLevel::shared(&small_cfg(), 4);
         let line = LineAddr::new(0x40);
         lv.fill(2, line, false, false, 0);
         assert!(lv.add_sharer(0, line, 2));
@@ -483,18 +417,19 @@ mod tests {
 
     #[test]
     fn instantiated_matches_scope() {
-        let cfg = LevelConfig::shared(small_cfg());
-        let inst = cfg.instantiated(8);
+        let shared: CacheLevel<()> = CacheLevel::shared(&small_cfg(), 8);
+        let inst = shared.config();
         assert_eq!(inst.size_bytes, 8 * 8 * 64);
         assert_eq!(inst.mshrs, 32);
         assert_eq!(inst.latency, 7);
-        let cfg = LevelConfig::private(small_cfg());
-        assert_eq!(cfg.instantiated(8).size_bytes, 8 * 64);
+        let private: CacheLevel<()> = CacheLevel::private(&small_cfg(), 8);
+        assert_eq!(private.config(), &small_cfg());
+        assert_eq!(private.mshr_capacity(7), 4);
     }
 
     #[test]
     #[should_panic]
     fn zero_cores_rejected() {
-        let _: CacheLevel<()> = CacheLevel::new(LevelConfig::private(small_cfg()), 0);
+        let _: CacheLevel<()> = CacheLevel::private(&small_cfg(), 0);
     }
 }

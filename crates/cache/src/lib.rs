@@ -7,8 +7,8 @@
 //! timing-free data types; the request orchestration (queues, latencies,
 //! fills, the Hermes merge path) lives in `hermes-sim`'s hierarchy engine,
 //! which drives a configurable stack of [`CacheLevel`]s — each a bundle of
-//! per-core or shared [`CacheArray`]s plus [`MshrTable`]s described by a
-//! [`LevelConfig`] (see [`level`]).
+//! per-core or shared [`CacheArray`]s plus [`MshrTable`]s built from a
+//! [`CacheConfig`] (see [`level`]).
 //!
 //! # Example
 //!
@@ -32,6 +32,6 @@ pub mod replacement;
 
 pub use array::{AccessResult, CacheArray, CacheConfig, Evicted};
 pub use coherence::{CoherenceConfig, Mesi};
-pub use level::{CacheLevel, LevelConfig, LevelScope, LevelStats};
+pub use level::{CacheLevel, LevelStats};
 pub use mshr::{MshrFull, MshrTable};
 pub use replacement::ReplacementKind;

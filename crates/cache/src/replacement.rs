@@ -1,4 +1,4 @@
-//! Replacement policies: LRU, SRRIP, and SHiP.
+//! Replacement policies: LRU and SHiP.
 //!
 //! Table 4 of the paper uses LRU at L1/L2 and SHiP (Wu et al., MICRO'11) at
 //! the LLC. SHiP is SRRIP insertion steered by a signature history counter
@@ -12,8 +12,6 @@ use hermes_types::SatCounter;
 pub enum ReplacementKind {
     /// Least-recently-used (exact, stamp-based).
     Lru,
-    /// Static re-reference interval prediction, 2-bit RRPV.
-    Srrip,
     /// Signature-based hit prediction (SRRIP + SHCT), the paper's LLC
     /// policy.
     Ship,
@@ -32,9 +30,6 @@ pub(crate) enum PolicyState {
         stamps: Vec<u64>,
         clock: u64,
     },
-    Srrip {
-        rrpv: Vec<u8>,
-    },
     Ship {
         rrpv: Vec<u8>,
         /// PC signature that filled each line.
@@ -52,9 +47,6 @@ impl PolicyState {
                 stamps: vec![0; total_lines],
                 clock: 0,
             },
-            ReplacementKind::Srrip => PolicyState::Srrip {
-                rrpv: vec![RRPV_MAX; total_lines],
-            },
             ReplacementKind::Ship => PolicyState::Ship {
                 rrpv: vec![RRPV_MAX; total_lines],
                 sig: vec![0; total_lines],
@@ -71,7 +63,6 @@ impl PolicyState {
                 *clock += 1;
                 stamps[idx] = *clock;
             }
-            PolicyState::Srrip { rrpv } => rrpv[idx] = 0,
             PolicyState::Ship {
                 rrpv,
                 sig,
@@ -94,7 +85,6 @@ impl PolicyState {
                 *clock += 1;
                 stamps[idx] = *clock;
             }
-            PolicyState::Srrip { rrpv } => rrpv[idx] = RRPV_MAX - 1,
             PolicyState::Ship {
                 rrpv,
                 sig,
@@ -140,7 +130,7 @@ impl PolicyState {
                 }
                 best
             }
-            PolicyState::Srrip { rrpv } | PolicyState::Ship { rrpv, .. } => loop {
+            PolicyState::Ship { rrpv, .. } => loop {
                 for w in 0..ways {
                     if rrpv[base + w] == RRPV_MAX {
                         return w;
@@ -168,20 +158,22 @@ mod tests {
         assert_eq!(p.victim(0, 4), 1);
     }
 
+    // SHiP chooses victims with SRRIP's RRPV walk; these two pin it.
+
     #[test]
     fn srrip_victim_is_distant() {
-        let mut p = PolicyState::new(ReplacementKind::Srrip, 4);
+        let mut p = PolicyState::new(ReplacementKind::Ship, 4);
         for i in 0..4 {
             p.on_fill(i, 0);
         }
-        p.on_hit(2); // rrpv[2]=0, others 2
+        p.on_hit(2); // rrpv[2]=0, others distant
         let v = p.victim(0, 4);
         assert_ne!(v, 2, "recently-hit line chosen as victim");
     }
 
     #[test]
     fn srrip_ages_until_victim_found() {
-        let mut p = PolicyState::new(ReplacementKind::Srrip, 2);
+        let mut p = PolicyState::new(ReplacementKind::Ship, 2);
         p.on_fill(0, 0);
         p.on_fill(1, 0);
         p.on_hit(0);

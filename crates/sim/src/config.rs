@@ -1,9 +1,9 @@
 //! System configuration: the paper's Table 4 with builder-style sweeps
-//! for every sensitivity study in §8.4 and Appendix B, plus arbitrary
-//! N-level cache topologies via [`LevelConfig`].
+//! for every sensitivity study in §8.4 and Appendix B, plus N-level
+//! cache topologies via [`SystemConfig::levels`].
 
 use hermes::{HermesConfig, PopetConfig};
-use hermes_cache::{CacheConfig, CoherenceConfig, LevelConfig, LevelScope, ReplacementKind};
+use hermes_cache::{CacheConfig, CoherenceConfig, ReplacementKind};
 use hermes_cpu::CoreConfig;
 use hermes_dram::DramConfig;
 use hermes_prefetch::PrefetcherKind;
@@ -23,19 +23,14 @@ pub struct SystemConfig {
     /// fills in Table 4's private L1D / private L2 / shared LLC. Each
     /// level's `latency` is the cycles it adds past the level inside it:
     /// 5 for an L1D hit, 10 more for a 15-cycle L2 load-to-use, and 40
-    /// more for a 55-cycle LLC load-to-use. A shared level's size is per
-    /// core (3 MB/core for the LLC) and scales with `cores`.
+    /// more for a 55-cycle LLC load-to-use.
     ///
-    /// Shape rules (enforced by [`SystemConfig::validate`]): at least two
-    /// levels; the first level must be [`LevelScope::Private`] (it is the
-    /// per-core L1D the pipeline talks to); the last level must be
-    /// [`LevelScope::Shared`] (a miss there is the off-chip boundary and
-    /// its MSHRs front the shared memory controller); and scopes must be
-    /// monotone — once a level is shared, every outer level is too. A
-    /// private level outboard of a shared one would receive the shared
-    /// level's victims (which may belong to any core) into a single
-    /// core's instance, misplacing other cores' data.
-    pub levels: Vec<LevelConfig>,
+    /// Sharing follows from position: every level but the last is
+    /// private to each core, and the last is shared by all cores, its
+    /// size given per core (3 MB/core for the LLC) and scaled with
+    /// `cores`. Shape rule (enforced by [`SystemConfig::validate`]): at
+    /// least two levels; the last is shared.
+    pub levels: Vec<CacheConfig>,
     /// Main memory.
     pub dram: DramConfig,
     /// Address-translation subsystem (TLBs + hardware page-table walker).
@@ -56,10 +51,10 @@ pub struct SystemConfig {
     /// pay a directory round trip that invalidates remote copies, reads
     /// of remotely-Modified lines pay a dirty intervention, and shared-
     /// level evictions back-invalidate private copies to keep the
-    /// directory inclusive. Requires every level but the last to be
-    /// core-private. On a single core the protocol is vacuous (every
-    /// line is trivially exclusive) and the simulation stays
-    /// cycle-exact with `None`.
+    /// directory inclusive (every level inside the shared last one is
+    /// private, so the directory sees every copy). On a single core the
+    /// protocol is vacuous (every line is trivially exclusive) and the
+    /// simulation stays cycle-exact with `None`.
     pub coherence: Option<CoherenceConfig>,
     /// Data prefetcher at the last cache level (one instance per core).
     pub prefetcher: PrefetcherKind,
@@ -100,18 +95,9 @@ impl SystemConfig {
             cores: 1,
             core: CoreConfig::baseline(),
             levels: vec![
-                LevelConfig::private(
-                    CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16)
-                        .with_latency(5),
-                ),
-                LevelConfig::private(
-                    CacheConfig::new("L2", 1280 * 1024, 20, ReplacementKind::Lru, 48)
-                        .with_latency(10),
-                ),
-                LevelConfig::shared(
-                    CacheConfig::new("LLC", 3 << 20, 12, ReplacementKind::Ship, 64)
-                        .with_latency(40),
-                ),
+                CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16).with_latency(5),
+                CacheConfig::new("L2", 1280 * 1024, 20, ReplacementKind::Lru, 48).with_latency(10),
+                CacheConfig::new("LLC", 3 << 20, 12, ReplacementKind::Ship, 64).with_latency(40),
             ],
             dram: DramConfig::single_core(),
             vm: None,
@@ -211,7 +197,7 @@ impl SystemConfig {
     }
 
     fn llc_mut(&mut self) -> &mut CacheConfig {
-        &mut self.levels.last_mut().expect("levels is empty").cache
+        self.levels.last_mut().expect("levels is empty")
     }
 
     /// Replaces the DRAM transfer rate (Fig. 17a sweep).
@@ -234,7 +220,7 @@ impl SystemConfig {
     }
 
     /// Replaces the whole cache topology (innermost level first).
-    pub fn with_levels(mut self, levels: Vec<LevelConfig>) -> Self {
+    pub fn with_levels(mut self, levels: Vec<CacheConfig>) -> Self {
         self.levels = levels;
         self
     }
@@ -264,7 +250,7 @@ impl SystemConfig {
     /// sum of per-level lookup latencies (55 in the baseline): the cycles
     /// Hermes can shave off an off-chip load.
     pub fn hierarchy_latency(&self) -> u32 {
-        self.levels.iter().map(|l| l.cache.latency).sum()
+        self.levels.iter().map(|l| l.latency).sum()
     }
 
     /// The geometry of the last (shared) cache level as instantiated for
@@ -273,7 +259,7 @@ impl SystemConfig {
         self.levels
             .last()
             .expect("validate() enforces >= 2 levels")
-            .instantiated(self.cores)
+            .scaled(self.cores)
     }
 
     /// Validates the composite configuration.
@@ -281,7 +267,7 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics on inconsistent parameters or a topology violating the
-    /// shape rules of [`SystemConfig::levels`].
+    /// shape rule of [`SystemConfig::levels`].
     pub fn validate(&self) {
         assert!(self.cores >= 1);
         self.core.validate();
@@ -295,35 +281,10 @@ impl SystemConfig {
             "hierarchy needs at least two levels (got {})",
             levels.len()
         );
-        assert_eq!(
-            levels[0].scope,
-            LevelScope::Private,
-            "the first cache level must be core-private"
-        );
-        assert_eq!(
-            levels.last().expect("nonempty").scope,
-            LevelScope::Shared,
-            "the last cache level must be shared (it fronts the memory controller)"
-        );
-        assert!(
-            levels
-                .windows(2)
-                .all(|w| !(w[0].scope == LevelScope::Shared && w[1].scope == LevelScope::Private)),
-            "cache level scopes must be monotone: no private level outside a shared one"
-        );
-        for l in levels {
-            // Geometry checks (set counts, scaling) panic on bad shapes.
-            let _ = l.instantiated(self.cores);
-        }
+        // The shared level's scaled geometry must still index sets.
+        let _ = self.shared_llc();
         if let Some(coh) = &self.coherence {
             coh.validate(self.cores);
-            assert!(
-                levels[..levels.len() - 1]
-                    .iter()
-                    .all(|l| l.scope == LevelScope::Private),
-                "coherence requires every level but the last to be core-private \
-                 (the sharer directory tracks private copies only)"
-            );
         }
     }
 }
@@ -342,9 +303,9 @@ mod tests {
     #[test]
     fn baseline_matches_table4() {
         let c = SystemConfig::baseline_1c();
-        assert_eq!(c.levels[0].cache.sets(), 64);
-        assert_eq!(c.levels[1].cache.sets(), 1024);
-        assert_eq!(c.levels[2].cache.sets(), 4096);
+        assert_eq!(c.levels[0].sets(), 64);
+        assert_eq!(c.levels[1].sets(), 1024);
+        assert_eq!(c.levels[2].sets(), 4096);
         assert_eq!(c.hierarchy_latency(), 55);
         assert_eq!(c.prefetcher, PrefetcherKind::Pythia);
         assert!(!c.hermes.enabled());
@@ -365,15 +326,12 @@ mod tests {
         assert!(c.fast_forward);
         let levels = &c.levels;
         assert_eq!(levels.len(), 3);
-        assert_eq!(levels[0].scope, LevelScope::Private);
-        assert_eq!(levels[1].scope, LevelScope::Private);
-        assert_eq!(levels[2].scope, LevelScope::Shared);
         assert_eq!(
-            levels.iter().map(|l| l.cache.latency).collect::<Vec<_>>(),
+            levels.iter().map(|l| l.latency).collect::<Vec<_>>(),
             vec![5, 10, 40]
         );
-        // The shared last level instantiates exactly like shared_llc().
-        let inst = levels[2].instantiated(8);
+        // The shared last level scales exactly like shared_llc().
+        let inst = levels[2].scaled(8);
         let llc = SystemConfig::baseline_8c().shared_llc();
         assert_eq!(inst.size_bytes, llc.size_bytes);
         assert_eq!(inst.mshrs, llc.mshrs);
@@ -385,9 +343,7 @@ mod tests {
         base.clone().with_levels(vec![
             base.levels[0].clone(),
             base.levels[1].clone(),
-            LevelConfig::private(
-                CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
-            ),
+            CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
             base.levels[2].clone(),
         ])
     }
@@ -407,51 +363,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "last cache level must be shared")]
-    fn topology_without_shared_last_rejected() {
-        let base = SystemConfig::baseline_1c();
-        base.clone()
-            .with_levels(vec![
-                LevelConfig::private(base.levels[0].cache.clone()),
-                LevelConfig::private(base.levels[1].cache.clone()),
-            ])
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "first cache level must be core-private")]
-    fn topology_with_shared_first_rejected() {
-        let base = SystemConfig::baseline_1c();
-        base.clone()
-            .with_levels(vec![
-                LevelConfig::shared(base.levels[0].cache.clone()),
-                LevelConfig::shared(base.levels[2].cache.clone()),
-            ])
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "scopes must be monotone")]
-    fn private_level_outside_shared_rejected() {
-        let base = SystemConfig::baseline_1c();
-        base.clone()
-            .with_levels(vec![
-                LevelConfig::private(base.levels[0].cache.clone()),
-                LevelConfig::shared(base.levels[1].cache.clone()),
-                LevelConfig::private(base.levels[1].cache.clone()),
-                LevelConfig::shared(base.levels[2].cache.clone()),
-            ])
-            .validate();
-    }
-
-    #[test]
     fn llc_builders_edit_last_level_of_explicit_topology() {
         let c = four_level();
         let base_latency = c.hierarchy_latency();
         let d = c.clone().with_llc_latency(40 + 7).with_llc_size(6 << 20);
         assert_eq!(d.hierarchy_latency(), base_latency + 7);
         assert_eq!(d.shared_llc().size_bytes, 6 << 20);
-        let llc = &d.levels[3].cache;
+        let llc = &d.levels[3];
         assert_eq!(llc.name, "LLC");
         assert_eq!(
             (llc.ways, llc.replacement, llc.mshrs),
@@ -465,10 +383,8 @@ mod tests {
     fn shared_llc_follows_explicit_topology() {
         let base = SystemConfig::baseline_1c();
         let c = base.clone().with_levels(vec![
-            LevelConfig::private(base.levels[0].cache.clone()),
-            LevelConfig::shared(
-                CacheConfig::new("LLC", 1 << 20, 16, ReplacementKind::Lru, 32).with_latency(30),
-            ),
+            base.levels[0].clone(),
+            CacheConfig::new("LLC", 1 << 20, 16, ReplacementKind::Lru, 32).with_latency(30),
         ]);
         let llc = c.shared_llc();
         assert_eq!(llc.size_bytes, 1 << 20);
@@ -480,7 +396,7 @@ mod tests {
     fn single_level_topology_rejected() {
         let base = SystemConfig::baseline_1c();
         base.clone()
-            .with_levels(vec![LevelConfig::shared(base.levels[2].cache.clone())])
+            .with_levels(vec![base.levels[2].clone()])
             .validate();
     }
 
@@ -493,20 +409,6 @@ mod tests {
             SystemConfig::baseline_1c().coherence.is_none(),
             "coherence off by default"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "core-private")]
-    fn coherence_with_shared_mid_level_rejected() {
-        let base = SystemConfig::baseline_1c();
-        base.clone()
-            .with_levels(vec![
-                LevelConfig::private(base.levels[0].cache.clone()),
-                LevelConfig::shared(base.levels[1].cache.clone()),
-                LevelConfig::shared(base.levels[2].cache.clone()),
-            ])
-            .with_coherence(CoherenceConfig::baseline())
-            .validate();
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! The hierarchy is a `Vec<CacheLevel>` built from
 //! [`SystemConfig::levels`] (innermost level first). The default
 //! is the paper's three-level stack — private L1D, private L2, shared
-//! LLC — but any depth ≥ 2 works, with each level private per core or
-//! shared by all cores ([`hermes_cache::LevelScope`]). Three level roles
-//! fall out of the position in the stack:
+//! LLC — but any depth ≥ 2 works. Sharing and role both follow from the
+//! position in the stack: every level but the last is private per core,
+//! and the last is shared by all cores (its configured size is per core
+//! and scales with the core count).
 //!
-//! * **first level** (always private) — the level the core pipeline
-//!   talks to: it tracks load tokens and store write-allocates in its
-//!   MSHRs and is where full-MSHR accesses park in the retry queue;
-//! * **intermediate levels** — pure lookup/merge stages;
-//! * **last level** (always shared) — hosts the data prefetchers, feeds
+//! * **first level** (private) — the level the core pipeline and the
+//!   page walker talk to: its MSHRs hold the three kinds of first-level
+//!   request (loads, store write-allocates, walker reads), and it is
+//!   where full-MSHR requests park in the retry queue;
+//! * **intermediate levels** (private) — pure lookup/merge stages;
+//! * **last level** (shared) — hosts the data prefetchers, feeds
 //!   the memory controller, and defines the *off-chip boundary*: a load
 //!   missing here is the positive class Hermes predicts
 //!   ([`hermes_cpu::ServedBy::Dram`]), regardless of depth.
@@ -89,7 +91,8 @@
 //! * a **dTLB miss, STLB hit** defers the access by the STLB latency and
 //!   refills the dTLB;
 //! * an **STLB miss** starts (or joins) a hardware page walk: the walker
-//!   issues the radix levels' PTE reads *through this cache hierarchy* —
+//!   issues the radix levels' PTE reads *through this cache hierarchy*,
+//!   entering it by the same first-level access as loads and stores —
 //!   they occupy MSHRs, fill and pollute the caches, park in the retry
 //!   queue when tables are full, and can themselves go off-chip — with a
 //!   per-core page-walk cache short-circuiting the levels it has seen
@@ -105,15 +108,18 @@
 //!
 //! ## Retry queue
 //!
-//! First-level accesses rejected by a full MSHR table park in a retry
-//! queue and re-execute the full access (tag lookup included, which is
-//! deliberately re-charged to the power model) after `MSHR_RETRY`
-//! cycles. The queue keeps the historical `Vec` + swap-remove scan —
-//! whose exact (path-dependent) processing order the regression goldens
-//! are bit-for-bit sensitive to, ruling out a reordering container like
-//! a min-heap — but caches the minimum due time so the common
-//! nothing-due tick is a single comparison instead of an O(n) sweep of
-//! every pending entry. The cached minimum also feeds
+//! Every first-level request — a load, a store or a walker read, one
+//! `Waiter` each — enters through `Hierarchy::access_first`, the one
+//! place the first level accepts or refuses an access. A request refused
+//! by a full MSHR table parks in a retry queue and re-executes the full
+//! access (tag lookup included, which is deliberately re-charged to the
+//! power model or, for a walker read, to `walk_mem_accesses`) after
+//! `MSHR_RETRY` cycles. The queue keeps the historical `Vec` +
+//! swap-remove scan — whose exact (path-dependent) processing order the
+//! regression goldens are bit-for-bit sensitive to, ruling out a
+//! reordering container like a min-heap — but caches the minimum due
+//! time so the common nothing-due tick is a single comparison instead of
+//! an O(n) sweep of every pending entry. The cached minimum also feeds
 //! [`Hierarchy::next_event_at`] for idle-cycle fast-forward.
 
 use std::cmp::Reverse;
@@ -146,17 +152,20 @@ const PF_MSHR_RESERVE: usize = 8;
 const MSHR_RETRY: Cycle = 4;
 
 /// An MSHR waiter payload; which variants appear at a level follows from
-/// the level's role (see module docs).
+/// the level's role (see module docs). `Load`, `Store` and `Walk` are
+/// the three kinds of first-level request: [`Hierarchy::access_first`]
+/// takes one, the retry queue and deferred translations hold one, and
+/// the first level's MSHRs resume one when the data arrives.
 #[derive(Debug, Clone, Copy)]
 enum Waiter {
-    /// First level: a core access awaiting data. `token` is `None` for
-    /// stores (write-allocate fetches); `pc` re-issues the access when a
-    /// coherence upgrade loses its race.
-    Request {
-        token: Option<u64>,
-        is_store: bool,
-        pc: u64,
-    },
+    /// First level: a core load awaiting data.
+    Load { token: u64, pc: u64 },
+    /// First level: a store's write-allocate fetch; `pc` re-issues the
+    /// access when a coherence upgrade loses its race.
+    Store { pc: u64 },
+    /// First level: a page-table-walker read; completion advances the
+    /// walk to its next radix level (or finishes the translation).
+    Walk { walk: u64 },
     /// Intermediate level: a merged request chain from `core`, resumed
     /// towards the core when the fill arrives.
     Merge { core: usize },
@@ -165,24 +174,26 @@ enum Waiter {
     Demand { core: usize, pc: u64 },
     /// Last level: a prefetch-only requester.
     Prefetch,
-    /// First level: a page-table-walker read; completion advances the
-    /// walk to its next radix level (or finishes the translation).
-    Walk { walk: u64 },
+}
+
+impl Waiter {
+    /// The PC a first-level request carries down the stack: the
+    /// instruction's for a load or store, 0 for a walker read.
+    fn pc(self) -> u64 {
+        match self {
+            Waiter::Load { pc, .. } | Waiter::Store { pc } => pc,
+            _ => 0,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Demand lookup reaching `level` (≥ 1; the first level is accessed
-    /// synchronously at issue).
+    /// Demand (or walker) lookup reaching `level` (≥ 1; the first level
+    /// is accessed synchronously at issue).
     Lookup {
         level: usize,
-        core: usize,
-        line: LineAddr,
-        pc: u64,
-        retried: bool,
-        /// Page-table-walker lookup: excluded from demand statistics and
-        /// invisible to the prefetchers.
-        walk: bool,
+        ctx: LookupCtx,
     },
     HermesIssue {
         core: usize,
@@ -241,17 +252,13 @@ impl Ord for HeapEntry {
     }
 }
 
-/// A first-level access deferred by MSHR exhaustion, waiting in the
+/// A first-level request deferred by MSHR exhaustion, waiting in the
 /// retry queue.
 #[derive(Debug, Clone, Copy)]
 struct Retry {
     core: usize,
     line: LineAddr,
-    token: Option<u64>,
-    is_store: bool,
-    pc: u64,
-    /// `Some` for a parked page-table-walker access.
-    walk: Option<u64>,
+    waiter: Waiter,
     /// First-level [`CacheLevel::change_epoch`] observed when the access
     /// parked. While it still matches at retry time, nothing that could
     /// admit the access has happened, so the re-attempt short-circuits
@@ -405,34 +412,16 @@ pub struct CoreHierStats {
     pub spec_reads_wasted: u64,
 }
 
-/// Parameters of one lookup travelling the stack ([`Ev::Lookup`] minus
-/// the level).
+/// One lookup travelling the stack ([`Ev::Lookup`] minus the level).
 #[derive(Debug, Clone, Copy)]
 struct LookupCtx {
     core: usize,
     line: LineAddr,
     pc: u64,
     retried: bool,
+    /// Page-table-walker lookup: excluded from demand statistics and
+    /// invisible to the prefetchers.
     walk: bool,
-}
-
-/// An access deferred until its page translation resolves.
-#[derive(Debug, Clone, Copy)]
-enum TransWaiter {
-    Load {
-        token: u64,
-        pc: u64,
-        pline: LineAddr,
-        /// Earliest cycle the Hermes speculative read may enter the
-        /// memory controller (`issue + hermes issue latency`), when the
-        /// load was predicted off-chip. The actual issue is
-        /// `max(this, walk completion)`.
-        hermes_min: Option<Cycle>,
-    },
-    Store {
-        pc: u64,
-        pline: LineAddr,
-    },
 }
 
 /// One in-flight translation: a hardware page walk, or the short STLB →
@@ -453,8 +442,12 @@ struct Walk {
     /// Walk start, for latency accounting; `None` for STLB refills
     /// (which are not page walks and stay out of the walk statistics).
     started: Option<Cycle>,
-    /// Accesses waiting for the PFN.
-    waiters: Vec<TransWaiter>,
+    /// First-level requests waiting for the PFN: the physical line, the
+    /// request, and for a load predicted off-chip the earliest cycle its
+    /// Hermes read may enter the memory controller (`issue + hermes
+    /// issue latency`; it actually issues at `max(this, walk
+    /// completion)`).
+    waiters: Vec<(LineAddr, Waiter, Option<Cycle>)>,
 }
 
 /// How a translation request routes the requesting access.
@@ -462,7 +455,7 @@ enum TransRoute {
     /// Mapping known now (dTLB hit): proceed exactly like the classic
     /// free-translation path.
     Ready,
-    /// Deferred on an in-flight walk/refill: attach a [`TransWaiter`].
+    /// Deferred on an in-flight walk/refill: wait in [`Walk::waiters`].
     Defer(u64),
 }
 
@@ -513,8 +506,9 @@ impl VmFrontend {
 /// See [module docs](self).
 pub struct Hierarchy {
     cfg: SystemConfig,
-    /// The cache stack, innermost first; `len() >= 2`, first private,
-    /// last shared (enforced by [`SystemConfig::validate`]).
+    /// The cache stack, innermost first; `len() >= 2` (enforced by
+    /// [`SystemConfig::validate`]), every level private but the last,
+    /// which is shared.
     levels: Vec<CacheLevel<Waiter>>,
     /// Cached [`SystemConfig::hierarchy_latency`] (hot in
     /// `finish_demand`).
@@ -607,10 +601,18 @@ impl Hierarchy {
                 PredictorKind::Ideal => PredictorImpl::Ideal,
             })
             .collect();
+        let last = cfg.levels.len() - 1;
         let levels = cfg
             .levels
             .iter()
-            .map(|lc| CacheLevel::new(lc.clone(), n))
+            .enumerate()
+            .map(|(i, c)| {
+                if i == last {
+                    CacheLevel::shared(c, n)
+                } else {
+                    CacheLevel::private(c, n)
+                }
+            })
             .collect();
         Self {
             levels,
@@ -877,72 +879,56 @@ impl Hierarchy {
         self.finished.push((core, token, served));
     }
 
-    /// First-level access for a load or store at `now` (also re-entered
-    /// from the retry heap).
-    fn access_first(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        token: Option<u64>,
-        is_store: bool,
-        pc: u64,
-        now: Cycle,
-    ) {
-        self.stats[core].l1_accesses += 1;
-        let res = self.levels[0].access(core, line, pc_sig(pc));
-        if res.hit {
-            if is_store {
-                if self.needs_write_permission(core, line) {
-                    // Store hit on a Shared line: blind `mark_dirty`
-                    // would silently corrupt remote copies. Request
-                    // write permission from the directory; the remote
-                    // invalidations land after the round-trip latency.
-                    self.request_upgrade(core, line, pc, now);
-                } else {
-                    self.levels[0].mark_dirty(core, line);
-                }
-            }
-            if let Some(tok) = token {
-                let at = now + self.levels[0].latency() as Cycle;
-                self.schedule(
-                    at,
+    /// First-level access for a load, store or walker read at `now`
+    /// (also re-entered from the retry queue, a resolved translation and
+    /// a lost coherence upgrade): a hit completes the request after the
+    /// first level's latency, a miss allocates or merges into an MSHR,
+    /// and a full MSHR table parks the request in the retry queue.
+    fn access_first(&mut self, core: usize, line: LineAddr, waiter: Waiter, now: Cycle) {
+        self.count_first_access(core, waiter);
+        let sig = match waiter {
+            Waiter::Walk { .. } => 0,
+            _ => pc_sig(waiter.pc()),
+        };
+        if self.levels[0].access(core, line, sig).hit {
+            let done = now + self.levels[0].latency() as Cycle;
+            match waiter {
+                Waiter::Load { token, .. } => self.schedule(
+                    done,
                     Ev::CompleteLoad {
                         core,
-                        token: tok,
+                        token,
                         served: ServedBy::L1,
                     },
-                );
+                ),
+                Waiter::Store { pc } => {
+                    if self.needs_write_permission(core, line) {
+                        // Store hit on a Shared line: blind `mark_dirty`
+                        // would silently corrupt remote copies. Request
+                        // write permission from the directory; the remote
+                        // invalidations land after the round-trip latency.
+                        self.request_upgrade(core, line, pc, now);
+                    } else {
+                        self.levels[0].mark_dirty(core, line);
+                    }
+                }
+                Waiter::Walk { walk } => self.schedule(done, Ev::WalkStep { walk }),
+                _ => unreachable!("{waiter:?} is not a first-level request"),
             }
             return;
         }
-        // A retried access reports its first-level miss again — the
-        // repeat makes MSHR-full structural stalls visible in the trace.
-        if let (Some(p), Some(tok)) = (&mut self.probe, token) {
-            p.on_load_event(core, tok, now, "l1_miss");
-        }
-        match self.levels[0].mshr_allocate(
-            core,
-            line,
-            Waiter::Request {
-                token,
-                is_store,
-                pc,
-            },
-            false,
-        ) {
+        self.note_first_miss(core, waiter, now);
+        match self.levels[0].mshr_allocate(core, line, waiter, false) {
             Ok(true) => {
                 let at = now + (self.levels[0].latency() + self.levels[1].latency()) as Cycle;
-                self.schedule(
-                    at,
-                    Ev::Lookup {
-                        level: 1,
-                        core,
-                        line,
-                        pc,
-                        retried: false,
-                        walk: false,
-                    },
-                );
+                let ctx = LookupCtx {
+                    core,
+                    line,
+                    pc: waiter.pc(),
+                    retried: false,
+                    walk: matches!(waiter, Waiter::Walk { .. }),
+                };
+                self.schedule(at, Ev::Lookup { level: 1, ctx });
             }
             Ok(false) => {}
             Err(_) => {
@@ -956,14 +942,31 @@ impl Hierarchy {
                     Retry {
                         core,
                         line,
-                        token,
-                        is_store,
-                        pc,
-                        walk: None,
+                        waiter,
                         epoch: self.levels[0].change_epoch(core),
                     },
                 );
             }
+        }
+    }
+
+    /// Charges one first-level attempt to its requester's counter:
+    /// `walk_mem_accesses` for a walker read, `l1_accesses` (the power
+    /// model's) for a load or store.
+    fn count_first_access(&mut self, core: usize, waiter: Waiter) {
+        let s = &mut self.stats[core];
+        match waiter {
+            Waiter::Walk { .. } => s.walk_mem_accesses += 1,
+            _ => s.l1_accesses += 1,
+        }
+    }
+
+    /// Reports a load's first-level miss to the probe. A retried load
+    /// reports it again — the repeat makes MSHR-full structural stalls
+    /// visible in the trace.
+    fn note_first_miss(&mut self, core: usize, waiter: Waiter, now: Cycle) {
+        if let (Some(p), Waiter::Load { token, .. }) = (&mut self.probe, waiter) {
+            p.on_load_event(core, token, now, "l1_miss");
         }
     }
 
@@ -1039,8 +1042,8 @@ impl Hierarchy {
         (paddr, TransRoute::Defer(id))
     }
 
-    /// Advances `walk`: issues its next PTE access, or completes the
-    /// translation when none remain.
+    /// Advances `walk`: issues its next PTE read at the first level, or
+    /// completes the translation when none remain.
     fn walk_advance(&mut self, walk: u64, now: Cycle) {
         let (core, step) = {
             let vm = self.vm.as_mut().expect("walk without vm config");
@@ -1048,59 +1051,13 @@ impl Hierarchy {
             (w.core, w.steps.pop_front())
         };
         match step {
-            Some(line) => self.walk_access(core, line, walk, now),
+            Some(line) => self.access_first(core, line, Waiter::Walk { walk }, now),
             None => self.complete_walk(walk, now),
         }
     }
 
-    /// One PTE read entering the hierarchy at the first level. Mirrors
-    /// [`Hierarchy::access_first`] — including MSHR merging and the retry
-    /// queue — but resumes the walker instead of a core.
-    fn walk_access(&mut self, core: usize, line: LineAddr, walk: u64, now: Cycle) {
-        self.stats[core].walk_mem_accesses += 1;
-        let res = self.levels[0].access(core, line, 0);
-        if res.hit {
-            let at = now + self.levels[0].latency() as Cycle;
-            self.schedule(at, Ev::WalkStep { walk });
-            return;
-        }
-        match self.levels[0].mshr_allocate(core, line, Waiter::Walk { walk }, false) {
-            Ok(true) => {
-                let at = now + (self.levels[0].latency() + self.levels[1].latency()) as Cycle;
-                self.schedule(
-                    at,
-                    Ev::Lookup {
-                        level: 1,
-                        core,
-                        line,
-                        pc: 0,
-                        retried: false,
-                        walk: true,
-                    },
-                );
-            }
-            Ok(false) => {}
-            Err(_) => {
-                let at = now + MSHR_RETRY;
-                self.retry_min = self.retry_min.min(at);
-                self.retries.push(
-                    at,
-                    Retry {
-                        core,
-                        line,
-                        token: None,
-                        is_store: false,
-                        pc: 0,
-                        walk: Some(walk),
-                        epoch: self.levels[0].change_epoch(core),
-                    },
-                );
-            }
-        }
-    }
-
     /// Finishes a translation: installs the TLB and page-walk-cache
-    /// entries and releases every access (and pending Hermes issue) that
+    /// entries and releases every request (and pending Hermes issue) that
     /// waited for the PFN.
     fn complete_walk(&mut self, walk: u64, now: Cycle) {
         let (core, waiters, started) = {
@@ -1127,40 +1084,41 @@ impl Hierarchy {
                 p.record_walk_latency(now - t0);
             }
         }
-        for wtr in waiters {
-            match wtr {
-                TransWaiter::Load {
-                    token,
-                    pc,
-                    pline,
-                    hermes_min,
-                } => {
-                    if let Some(p) = &mut self.probe {
-                        p.on_load_event(core, token, now, "tlb_walk_done");
-                    }
-                    if let Some(min) = hermes_min {
-                        // The PFN is known: the speculative read may go.
-                        self.schedule(min.max(now), Ev::HermesIssue { core, line: pline });
-                    }
-                    self.access_first(core, pline, Some(token), false, pc, now);
-                }
-                TransWaiter::Store { pc, pline } => {
-                    self.access_first(core, pline, None, true, pc, now);
-                }
+        for (line, waiter, hermes_min) in waiters {
+            if let (Some(p), Waiter::Load { token, .. }) = (&mut self.probe, waiter) {
+                p.on_load_event(core, token, now, "tlb_walk_done");
             }
+            self.release(core, line, waiter, hermes_min, now);
         }
+    }
+
+    /// Sends a translated first-level request into the hierarchy at
+    /// `now`, first scheduling its Hermes read (no earlier than
+    /// `hermes_min`) when the load was predicted off-chip.
+    fn release(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        waiter: Waiter,
+        hermes_min: Option<Cycle>,
+        now: Cycle,
+    ) {
+        if let Some(min) = hermes_min {
+            self.schedule(min.max(now), Ev::HermesIssue { core, line });
+        }
+        self.access_first(core, line, waiter, now);
     }
 
     /// Demand (or walker) lookup at an intermediate level
     /// (`0 < level < last`).
-    fn lookup_mid(&mut self, level: usize, l: LookupCtx, now: Cycle) {
+    fn lookup_mid(&mut self, level: usize, ctx: LookupCtx, now: Cycle) {
         let LookupCtx {
             core,
             line,
             pc,
             retried,
             walk,
-        } = l;
+        } = ctx;
         if !retried && !walk {
             self.stats[core].l2_accesses += 1;
         }
@@ -1177,32 +1135,25 @@ impl Hierarchy {
         match self.levels[level].mshr_allocate(core, line, Waiter::Merge { core }, false) {
             Ok(true) => {
                 let at = now + self.levels[level + 1].latency() as Cycle;
+                let ctx = LookupCtx {
+                    retried: false,
+                    ..ctx
+                };
                 self.schedule(
                     at,
                     Ev::Lookup {
                         level: level + 1,
-                        core,
-                        line,
-                        pc,
-                        retried: false,
-                        walk,
+                        ctx,
                     },
                 );
             }
             Ok(false) => {}
             Err(_) => {
-                let at = now + MSHR_RETRY;
-                self.schedule(
-                    at,
-                    Ev::Lookup {
-                        level,
-                        core,
-                        line,
-                        pc,
-                        retried: true,
-                        walk,
-                    },
-                );
+                let ctx = LookupCtx {
+                    retried: true,
+                    ..ctx
+                };
+                self.schedule(now + MSHR_RETRY, Ev::Lookup { level, ctx });
             }
         }
     }
@@ -1212,14 +1163,14 @@ impl Hierarchy {
     /// out of the demand statistics and are invisible to the prefetchers
     /// (which model load/store streams, not page-table traffic) but
     /// otherwise behave identically — including going off-chip.
-    fn lookup_last(&mut self, l: LookupCtx, now: Cycle) {
+    fn lookup_last(&mut self, ctx: LookupCtx, now: Cycle) {
         let LookupCtx {
             core,
             line,
             pc,
             retried,
             walk,
-        } = l;
+        } = ctx;
         let last = self.last();
         let res = self.levels[last].access(core, line, pc_sig(pc));
         if !retried && !walk {
@@ -1281,18 +1232,11 @@ impl Hierarchy {
                 }
             }
             Err(_) => {
-                let at = now + MSHR_RETRY;
-                self.schedule(
-                    at,
-                    Ev::Lookup {
-                        level: last,
-                        core,
-                        line,
-                        pc,
-                        retried: true,
-                        walk,
-                    },
-                );
+                let ctx = LookupCtx {
+                    retried: true,
+                    ..ctx
+                };
+                self.schedule(now + MSHR_RETRY, Ev::Lookup { level: last, ctx });
             }
         }
     }
@@ -1559,7 +1503,7 @@ impl Hierarchy {
             self.kill_remote_copies(core, line);
             self.levels[0].mark_dirty(core, line);
         } else {
-            self.access_first(core, line, None, true, pc, now);
+            self.access_first(core, line, Waiter::Store { pc }, now);
         }
     }
 
@@ -1630,9 +1574,7 @@ impl Hierarchy {
             return;
         };
         let store_pc = waiters.iter().find_map(|w| match w {
-            Waiter::Request {
-                is_store: true, pc, ..
-            } => Some(*pc),
+            Waiter::Store { pc } => Some(*pc),
             _ => None,
         });
         let any_store = store_pc.is_some();
@@ -1680,9 +1622,9 @@ impl Hierarchy {
         }
         for w in waiters {
             match w {
-                Waiter::Request {
-                    token: Some(tok), ..
-                } => self.finish_demand(core, tok, served, coh_served, now),
+                Waiter::Load { token, .. } => {
+                    self.finish_demand(core, token, served, coh_served, now)
+                }
                 // The PTE arrived: the walker moves to the next level.
                 Waiter::Walk { walk } => self.walk_advance(walk, now),
                 _ => {}
@@ -1721,25 +1663,11 @@ impl Hierarchy {
 
     fn handle_event(&mut self, ev: Ev, now: Cycle) {
         match ev {
-            Ev::Lookup {
-                level,
-                core,
-                line,
-                pc,
-                retried,
-                walk,
-            } => {
-                let l = LookupCtx {
-                    core,
-                    line,
-                    pc,
-                    retried,
-                    walk,
-                };
+            Ev::Lookup { level, ctx } => {
                 if level == self.last() {
-                    self.lookup_last(l, now);
+                    self.lookup_last(ctx, now);
                 } else {
-                    self.lookup_mid(level, l, now);
+                    self.lookup_mid(level, ctx, now);
                 }
             }
             Ev::HermesIssue { core, line } => {
@@ -1795,25 +1723,13 @@ impl Hierarchy {
                 if self.retries.at(i) <= now {
                     let r = *self.retries.body(i);
                     if r.epoch == self.levels[0].change_epoch(r.core) {
-                        match r.walk {
-                            Some(_) => self.stats[r.core].walk_mem_accesses += 1,
-                            None => {
-                                self.stats[r.core].l1_accesses += 1;
-                                if let (Some(p), Some(tok)) = (&mut self.probe, r.token) {
-                                    p.on_load_event(r.core, tok, now, "l1_miss");
-                                }
-                            }
-                        }
+                        self.count_first_access(r.core, r.waiter);
+                        self.note_first_miss(r.core, r.waiter, now);
                         self.levels[0].count_rejected_retry();
                         self.retries.repark(i, now + MSHR_RETRY);
                     } else {
                         self.retries.swap_remove(i);
-                        match r.walk {
-                            Some(walk) => self.walk_access(r.core, r.line, walk, now),
-                            None => {
-                                self.access_first(r.core, r.line, r.token, r.is_store, r.pc, now)
-                            }
-                        }
+                        self.access_first(r.core, r.line, r.waiter, now);
                     }
                 } else {
                     i += 1;
@@ -1923,16 +1839,30 @@ impl Hierarchy {
         }
     }
 
-    /// Attaches a deferred access to the walk it waits on.
-    fn defer_on_walk(&mut self, walk: u64, waiter: TransWaiter) {
-        self.vm
-            .as_mut()
-            .expect("deferral without vm config")
-            .walks
-            .get_mut(&walk)
-            .expect("deferred on unknown walk")
-            .waiters
-            .push(waiter);
+    /// Sends a first-level request on its way once its translation is
+    /// resolved: now when the mapping is known, otherwise attached to the
+    /// walk (or STLB refill) it waits on.
+    fn dispatch(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        route: TransRoute,
+        waiter: Waiter,
+        hermes_min: Option<Cycle>,
+        now: Cycle,
+    ) {
+        match route {
+            TransRoute::Ready => self.release(core, line, waiter, hermes_min, now),
+            TransRoute::Defer(walk) => self
+                .vm
+                .as_mut()
+                .expect("deferral without vm config")
+                .walks
+                .get_mut(&walk)
+                .expect("deferred on unknown walk")
+                .waiters
+                .push((line, waiter, hermes_min)),
+        }
     }
 }
 
@@ -1989,39 +1919,17 @@ impl MemoryPort for Hierarchy {
                 fired: hermes_min.is_some(),
             },
         );
-        match route {
-            TransRoute::Ready => {
-                if let Some(at) = hermes_min {
-                    self.schedule(
-                        at,
-                        Ev::HermesIssue {
-                            core: req.core,
-                            line: pline,
-                        },
-                    );
-                }
-                self.access_first(req.core, pline, Some(req.token), false, req.pc, now);
-            }
-            TransRoute::Defer(walk) => self.defer_on_walk(
-                walk,
-                TransWaiter::Load {
-                    token: req.token,
-                    pc: req.pc,
-                    pline,
-                    hermes_min,
-                },
-            ),
-        }
+        let waiter = Waiter::Load {
+            token: req.token,
+            pc: req.pc,
+        };
+        self.dispatch(req.core, pline, route, waiter, hermes_min, now);
     }
 
     fn issue_store(&mut self, req: StoreIssue, now: Cycle) {
         let (pline, route) = self.resolve_translation(req.core, req.vaddr, now);
-        match route {
-            TransRoute::Ready => self.access_first(req.core, pline, None, true, req.pc, now),
-            TransRoute::Defer(walk) => {
-                self.defer_on_walk(walk, TransWaiter::Store { pc: req.pc, pline })
-            }
-        }
+        let waiter = Waiter::Store { pc: req.pc };
+        self.dispatch(req.core, pline, route, waiter, None, now);
     }
 
     fn note_lifecycle(&mut self, core: CoreId, token: u64, at: Cycle, kind: &'static str) {

@@ -11,7 +11,7 @@
 //! same MSHR tables as demand traffic and must survive exhaustion (and
 //! drive the retry queues) without stranding anyone.
 
-use hermes_cache::{CacheConfig, LevelConfig, ReplacementKind};
+use hermes_cache::{CacheConfig, ReplacementKind};
 use hermes_cpu::{LoadIssue, MemoryPort, ServedBy};
 use hermes_sim::hierarchy::Hierarchy;
 use hermes_sim::SystemConfig;
@@ -24,17 +24,17 @@ fn tiny(name: &str, mshrs: usize) -> CacheConfig {
     CacheConfig::new(name, 4 * 64, 2, ReplacementKind::Lru, mshrs).with_latency(2)
 }
 
-fn topology(depth: usize) -> Vec<LevelConfig> {
+fn topology(depth: usize) -> Vec<CacheConfig> {
     assert!((2..=4).contains(&depth));
     // Strictly decreasing MSHR counts: with equal counts the innermost
     // table caps concurrency and outer tables could never fill
     // (pigeonhole); decreasing counts force a full table — and therefore
     // the retry path — at every single level.
-    let mut v = vec![LevelConfig::private(tiny("L1D", 8))];
+    let mut v = vec![tiny("L1D", 8)];
     for i in 1..depth - 1 {
-        v.push(LevelConfig::private(tiny(&format!("L{}", i + 1), 5 - i)));
+        v.push(tiny(&format!("L{}", i + 1), 5 - i));
     }
-    v.push(LevelConfig::shared(tiny("LLC", 2)));
+    v.push(tiny("LLC", 2));
     v
 }
 

@@ -8,9 +8,7 @@
 //! LLC is not a fill returning to any core and must not train TTP.
 
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
-use hermes_repro::hermes_cache::{
-    CacheConfig, CoherenceConfig, LevelConfig, Mesi, ReplacementKind,
-};
+use hermes_repro::hermes_cache::{CacheConfig, CoherenceConfig, Mesi, ReplacementKind};
 use hermes_repro::hermes_cpu::{LoadIssue, MemoryPort, StoreIssue};
 use hermes_repro::hermes_prefetch::PrefetcherKind;
 use hermes_repro::hermes_sim::hierarchy::Hierarchy;
@@ -390,12 +388,8 @@ fn writeback_into_llc_does_not_train_ttp() {
         ..SystemConfig::baseline_1c().with_prefetcher(PrefetcherKind::None)
     }
     .with_levels(vec![
-        LevelConfig::private(
-            CacheConfig::new("L1D", 16 * 64, 2, ReplacementKind::Lru, 16).with_latency(5),
-        ),
-        LevelConfig::shared(
-            CacheConfig::new("LLC", 8 * 64, 2, ReplacementKind::Lru, 32).with_latency(40),
-        ),
+        CacheConfig::new("L1D", 16 * 64, 2, ReplacementKind::Lru, 16).with_latency(5),
+        CacheConfig::new("LLC", 8 * 64, 2, ReplacementKind::Lru, 32).with_latency(40),
     ])
     .with_hermes(HermesConfig::passive(PredictorKind::Ttp));
     let mut h = Hierarchy::new(cfg);

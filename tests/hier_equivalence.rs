@@ -9,7 +9,7 @@
 //! it may only change wall-clock time.
 
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
-use hermes_repro::hermes_cache::{CacheConfig, LevelConfig, ReplacementKind};
+use hermes_repro::hermes_cache::{CacheConfig, ReplacementKind};
 use hermes_repro::hermes_sim::{system::run_one, RunStats, System, SystemConfig};
 use hermes_repro::hermes_trace::suite;
 
@@ -120,12 +120,8 @@ fn generic_hierarchy_matches_pre_refactor_goldens_2core() {
 /// A small 2-level topology: private L1 straight to a shared LLC.
 fn two_level() -> SystemConfig {
     SystemConfig::baseline_1c().with_levels(vec![
-        LevelConfig::private(
-            CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16).with_latency(5),
-        ),
-        LevelConfig::shared(
-            CacheConfig::new("LLC", 2 << 20, 16, ReplacementKind::Ship, 64).with_latency(35),
-        ),
+        CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16).with_latency(5),
+        CacheConfig::new("LLC", 2 << 20, 16, ReplacementKind::Ship, 64).with_latency(35),
     ])
 }
 
@@ -135,9 +131,7 @@ fn four_level() -> SystemConfig {
     SystemConfig::baseline_1c().with_levels(vec![
         base.levels[0].clone(),
         base.levels[1].clone(),
-        LevelConfig::private(
-            CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
-        ),
+        CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
         base.levels[2].clone(),
     ])
 }
