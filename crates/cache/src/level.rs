@@ -71,14 +71,6 @@ pub struct CacheLevel<W> {
     arrays: Vec<CacheArray>,
     mshrs: Vec<MshrTable<W>>,
     stats: LevelStats,
-    /// Per-instance change counter, bumped by exactly the transitions
-    /// that can alter the outcome of a parked (MSHR-rejected) access:
-    /// a fill (the parked line could become resident), a successful
-    /// MSHR allocation (the parked line could now merge), or an MSHR
-    /// completion (a register freed). The hierarchy's retry queue
-    /// compares epochs to skip re-walking the tag array for attempts
-    /// that are guaranteed to fail again.
-    epochs: Vec<u64>,
 }
 
 impl<W> CacheLevel<W> {
@@ -110,7 +102,6 @@ impl<W> CacheLevel<W> {
             shared,
             cfg,
             stats: LevelStats::default(),
-            epochs: vec![0; n],
         }
     }
 
@@ -186,7 +177,6 @@ impl<W> CacheLevel<W> {
         pc_signature: u16,
     ) -> Option<Evicted> {
         let slot = self.slot(core);
-        self.epochs[slot] += 1;
         let ev = self.arrays[slot].fill(line, dirty, prefetched, pc_signature);
         self.stats.fills += 1;
         if ev.is_some_and(|e| e.dirty) {
@@ -256,10 +246,8 @@ impl<W> CacheLevel<W> {
     ) -> Result<bool, MshrFull> {
         let slot = self.slot(core);
         let res = self.mshrs[slot].allocate(line, waiter, is_prefetch);
-        match res {
-            Ok(true) => self.epochs[slot] += 1,
-            Ok(false) => {}
-            Err(_) => self.stats.mshr_rejections += 1,
+        if res.is_err() {
+            self.stats.mshr_rejections += 1;
         }
         res
     }
@@ -267,30 +255,18 @@ impl<W> CacheLevel<W> {
     /// Completes the outstanding miss for `line` in `core`'s MSHR table.
     pub fn mshr_complete(&mut self, core: usize, line: LineAddr) -> Option<(Vec<W>, bool)> {
         let slot = self.slot(core);
-        let res = self.mshrs[slot].complete(line);
-        if res.is_some() {
-            self.epochs[slot] += 1;
-        }
-        res
+        self.mshrs[slot].complete(line)
     }
 
-    /// The change epoch of `core`'s instance — see the field docs. A
-    /// rejected access whose recorded epoch still matches cannot succeed
-    /// on retry: the array contents and the MSHR line-set/occupancy that
-    /// rejected it are untouched.
-    #[inline]
-    pub fn change_epoch(&self, core: usize) -> u64 {
-        self.epochs[self.slot(core)]
-    }
-
-    /// Charges the counters of one guaranteed-to-fail retry attempt
-    /// without walking the tag array or MSHR table: a tag access that
-    /// misses plus an MSHR rejection — exactly what the full re-attempt
-    /// would have recorded.
-    pub fn count_rejected_retry(&mut self) {
-        self.stats.accesses += 1;
-        self.stats.misses += 1;
-        self.stats.mshr_rejections += 1;
+    /// Charges the counters of `n` retry attempts known to be refused,
+    /// without walking the tag array or MSHR table: per attempt, a tag
+    /// access that misses plus an MSHR rejection — exactly what the full
+    /// re-attempts would have recorded (a miss leaves the array
+    /// untouched).
+    pub fn count_rejected_retries(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.misses += n;
+        self.stats.mshr_rejections += n;
     }
 
     /// Whether a miss to `line` is outstanding for `core`.
@@ -301,6 +277,11 @@ impl<W> CacheLevel<W> {
     /// Whether the outstanding entry for `line` (if any) is prefetch-only.
     pub fn mshr_is_prefetch_only(&self, core: usize, line: LineAddr) -> Option<bool> {
         self.mshrs[self.slot(core)].is_prefetch_only(line)
+    }
+
+    /// Whether every MSHR register of `core`'s table is in use.
+    pub fn mshr_full(&self, core: usize) -> bool {
+        self.mshrs[self.slot(core)].is_full()
     }
 
     /// MSHR registers in use in `core`'s table.

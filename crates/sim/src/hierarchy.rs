@@ -114,12 +114,38 @@
 //! by a full MSHR table parks in a retry queue and re-executes the full
 //! access (tag lookup included, which is deliberately re-charged to the
 //! power model or, for a walker read, to `walk_mem_accesses`) after
-//! `MSHR_RETRY` cycles. The queue keeps the historical `Vec` +
-//! swap-remove scan — whose exact (path-dependent) processing order the
-//! regression goldens are bit-for-bit sensitive to, ruling out a
-//! reordering container like a min-heap — but caches the minimum due
-//! time so the common nothing-due tick is a single comparison instead of
-//! an O(n) sweep of every pending entry. The cached minimum also feeds
+//! `MSHR_RETRY` cycles. The queue's order is the historical `Vec` +
+//! swap-remove scan's, to which the regression goldens are bit-for-bit
+//! sensitive, and it stays the single source of truth; an index beside
+//! it lets a sweep skip the entries it would only re-park:
+//!
+//! * **Due buckets.** Every entry parks `MSHR_RETRY` cycles after the
+//!   access it retries, and both schedulers tick the hierarchy exactly at
+//!   [`Hierarchy::next_event_at`], so a sweep's due set is one bucket of
+//!   entries sharing a due cycle, and at most `MSHR_RETRY` buckets are
+//!   live. Each bucket keeps its queue positions in ascending order, its
+//!   entries per core and requester kind, and a per-core *admitted* flag,
+//!   set when a line parked in the bucket is allocated in, or filled into,
+//!   that core's first level.
+//! * **Refusal test.** A due retry is refused again iff its core's MSHR
+//!   table is full and its line is neither in that table nor in the
+//!   first-level array. A refused attempt only bumps counters (a miss
+//!   leaves the array untouched), and re-parking it in place equals the
+//!   scan's swap-remove + push.
+//! * **Closed form.** When exactly one bucket is due, the probe is off,
+//!   and every core in the bucket has a full table and a clear admitted
+//!   flag, every due entry is provably refused and the scan's outcome is
+//!   known without visiting them. With the bucket at positions p₁<…<pₖ
+//!   holding e₁…eₖ and the tail T outside it, T moves to p₁, each eⱼ to
+//!   pⱼ₊₁, and eₖ to the tail; with the tail inside the bucket, e₁, eₖ,
+//!   e₂, …, eₖ₋₁ land on p₁…pₖ. The counters are added per core from the
+//!   bucket's counts. Any other sweep runs the scan over the due
+//!   positions with the refusal test, moving each index entry with its
+//!   queue entry, and starts the re-parked entries' bucket with clear
+//!   admitted flags.
+//!
+//! The minimum due cycle over the live buckets gates the sweep (a tick
+//! with nothing due costs one comparison) and feeds
 //! [`Hierarchy::next_event_at`] for idle-cycle fast-forward.
 
 use std::cmp::Reverse;
@@ -253,74 +279,335 @@ impl Ord for HeapEntry {
 }
 
 /// A first-level request deferred by MSHR exhaustion, waiting in the
-/// retry queue.
+/// retry queue until cycle `at`.
 #[derive(Debug, Clone, Copy)]
 struct Retry {
+    at: Cycle,
     core: usize,
     line: LineAddr,
     waiter: Waiter,
-    /// First-level [`CacheLevel::change_epoch`] observed when the access
-    /// parked. While it still matches at retry time, nothing that could
-    /// admit the access has happened, so the re-attempt short-circuits
-    /// to its accounting side effects.
-    epoch: u64,
 }
 
-/// The retry queue in struct-of-arrays layout: due times live in their
-/// own dense vector so the per-tick sweep touches 8 bytes per
-/// parked-but-not-due entry instead of the whole payload (under MSHR
-/// saturation the queue holds thousands of entries and is re-scanned
-/// every tick). `push`/`swap_remove`/`repark` keep the two vectors in
-/// lockstep, preserving the exact legacy scan order bit-for-bit.
-#[derive(Debug, Default)]
+impl Retry {
+    /// The requester counter an attempt charges: 0 for a load or store
+    /// (`l1_accesses`), 1 for a walker read (`walk_mem_accesses`).
+    fn kind(&self) -> usize {
+        matches!(self.waiter, Waiter::Walk { .. }) as usize
+    }
+}
+
+/// The index slot of due cycle `at`. A bucket re-parked by a sweep at its
+/// due cycle moves `MSHR_RETRY` cycles on and keeps its slot.
+fn slot(at: Cycle) -> usize {
+    (at % MSHR_RETRY) as usize
+}
+
+/// The retries sharing one due cycle (see module docs).
+#[derive(Debug)]
+struct Bucket {
+    at: Cycle,
+    /// Queue positions of the bucket's entries, ascending.
+    pos: VecDeque<usize>,
+    /// Entries per core, by [`Retry::kind`].
+    kinds: Vec<[u32; 2]>,
+    /// Bit `c`: a line core `c` parked in this bucket's slot was
+    /// allocated in, or filled into, `c`'s first level since the entries
+    /// were last tested one by one, so one of them may be admitted.
+    admitted: u64,
+}
+
+impl Bucket {
+    fn new(at: Cycle, cores: usize) -> Self {
+        Self {
+            at,
+            pos: VecDeque::new(),
+            kinds: vec![[0; 2]; cores],
+            admitted: 0,
+        }
+    }
+
+    /// Bitmap of the cores with entries in the bucket.
+    fn cores(&self) -> u64 {
+        self.kinds
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| k[0] + k[1] > 0)
+            .fold(0, |m, (c, _)| m | 1 << c)
+    }
+}
+
+/// The MSHR retry queue: the entries in historical scan order plus the
+/// due-bucket index over them (see module docs).
+#[derive(Debug)]
 struct RetryQueue {
-    at: Vec<Cycle>,
-    body: Vec<Retry>,
+    /// The queue in the historical swap-remove scan's order.
+    q: Vec<Retry>,
+    /// One bucket per due cycle present in `q`, unordered.
+    buckets: Vec<Bucket>,
+    /// Parked entries per `(core, line)`, by [`slot`] of their due cycle.
+    parked: FastMap<(usize, LineAddr), [u32; MSHR_RETRY as usize]>,
+    cores: usize,
+    /// Reused buffer for a scan's due positions.
+    due: Vec<usize>,
 }
 
 impl RetryQueue {
-    #[inline]
-    fn len(&self) -> usize {
-        self.at.len()
+    fn new(cores: usize) -> Self {
+        assert!(cores <= 64, "admitted flags are a 64-bit core bitmap");
+        Self {
+            q: Vec::new(),
+            buckets: Vec::new(),
+            parked: FastMap::default(),
+            cores,
+            due: Vec::new(),
+        }
     }
 
-    #[inline]
-    fn push(&mut self, at: Cycle, r: Retry) {
-        self.at.push(at);
-        self.body.push(r);
+    /// The bucket due at `at`, created empty if absent.
+    fn bucket(&mut self, at: Cycle) -> &mut Bucket {
+        let i = match self.buckets.iter().position(|b| b.at == at) {
+            Some(i) => i,
+            None => {
+                self.buckets.push(Bucket::new(at, self.cores));
+                self.buckets.len() - 1
+            }
+        };
+        &mut self.buckets[i]
     }
 
-    #[inline]
-    fn at(&self, i: usize) -> Cycle {
-        self.at[i]
+    fn push(&mut self, r: Retry) {
+        let pos = self.q.len();
+        self.q.push(r);
+        let b = self.bucket(r.at);
+        b.pos.push_back(pos);
+        b.kinds[r.core][r.kind()] += 1;
+        self.parked.entry((r.core, r.line)).or_default()[slot(r.at)] += 1;
     }
 
-    #[inline]
-    fn body(&self, i: usize) -> &Retry {
-        &self.body[i]
-    }
-
-    #[inline]
-    fn swap_remove(&mut self, i: usize) -> Retry {
-        self.at.swap_remove(i);
-        self.body.swap_remove(i)
-    }
-
-    /// Re-parks entry `i` at `at` in place: the same queue state as
-    /// `let r = swap_remove(i); push(at, r)`, without moving the payload
-    /// out and back.
-    #[inline]
-    fn repark(&mut self, i: usize, at: Cycle) {
-        let last = self.at.len() - 1;
-        self.at.swap(i, last);
-        self.body.swap(i, last);
-        self.at[last] = at;
-    }
-
-    /// Minimum due time across the queue (`Cycle::MAX` when empty).
+    /// Earliest due cycle (`Cycle::MAX` when empty).
     fn min_at(&self) -> Cycle {
-        self.at.iter().copied().min().unwrap_or(Cycle::MAX)
+        self.buckets
+            .iter()
+            .map(|b| b.at)
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
+
+    /// `line` was allocated in, or filled into, `core`'s first level:
+    /// flags every bucket whose slot holds an entry of `core` for it.
+    fn note_admitted(&mut self, core: usize, line: LineAddr) {
+        if self.q.is_empty() {
+            return;
+        }
+        if let Some(n) = self.parked.get(&(core, line)) {
+            for b in &mut self.buckets {
+                if n[slot(b.at)] > 0 {
+                    b.admitted |= 1 << core;
+                }
+            }
+        }
+    }
+
+    /// The bucket the closed form may re-park: the only due one, due
+    /// exactly `now`, with no bucket yet at `now + MSHR_RETRY`.
+    fn sole_due(&self, now: Cycle) -> Option<usize> {
+        let mut sole = None;
+        for (i, b) in self.buckets.iter().enumerate() {
+            if b.at <= now {
+                if sole.is_some() || b.at != now {
+                    return None;
+                }
+                sole = Some(i);
+            } else if b.at == now + MSHR_RETRY {
+                return None;
+            }
+        }
+        sole
+    }
+
+    /// Re-parks every entry of bucket `b` at `at` exactly as the scan
+    /// would, in O(bucket) moves (the closed form in the module docs).
+    fn repark_bucket(&mut self, b: usize, at: Cycle) {
+        let n = self.q.len();
+        let tail_due = self.buckets[b].pos.back() == Some(&(n - 1));
+        if !tail_due {
+            self.move_tail(self.buckets[b].pos[0]);
+        }
+        let bucket = &mut self.buckets[b];
+        for &p in &bucket.pos {
+            self.q[p].at = at;
+        }
+        // Shift the entries one position along [p₁.., tail]: a due tail
+        // is swapped to p₁ and straight back, so it starts at p₂.
+        let mut carry = self.q[n - 1];
+        for &p in bucket.pos.iter().skip(tail_due as usize) {
+            std::mem::swap(&mut carry, &mut self.q[p]);
+        }
+        bucket.at = at;
+        if !tail_due {
+            self.q[n - 1] = carry;
+            bucket.pos.pop_front();
+            bucket.pos.push_back(n - 1);
+        }
+    }
+
+    /// Moves the tail entry's position to `p` in its bucket, ahead of the
+    /// swap that moves the entry. A due tail has no bucket to update: a
+    /// scan has taken the due buckets out, and the closed form's own
+    /// bucket handles its tail itself.
+    fn move_tail(&mut self, p: usize) {
+        let last = self.q.len() - 1;
+        let at = self.q[last].at;
+        if p == last {
+            return;
+        }
+        if let Some(b) = self.buckets.iter_mut().find(|b| b.at == at) {
+            let popped = b.pos.pop_back();
+            debug_assert_eq!(popped, Some(last), "the tail is its bucket's last entry");
+            let i = b.pos.partition_point(|&x| x < p);
+            b.pos.insert(i, p);
+        }
+    }
+
+    /// Starts a one-by-one scan at `now`: takes the due buckets out and
+    /// returns their positions, ascending, and opens the bucket re-parked
+    /// entries join, so that admissions later in the scan flag it.
+    fn begin_scan(&mut self, now: Cycle) -> Vec<usize> {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        self.buckets.retain(|b| {
+            if b.at <= now {
+                due.extend(&b.pos);
+            }
+            b.at > now
+        });
+        due.sort_unstable();
+        self.bucket(now + MSHR_RETRY);
+        due
+    }
+
+    /// The entry at position `p` if it exists and is due at `now`.
+    fn due_at(&self, p: usize, now: Cycle) -> Option<Retry> {
+        self.q.get(p).filter(|r| r.at <= now).copied()
+    }
+
+    /// Re-parks entry `p` at `at`: the queue state of `swap_remove(p)`
+    /// then `push`.
+    fn repark(&mut self, p: usize, at: Cycle) {
+        self.move_tail(p);
+        let last = self.q.len() - 1;
+        self.q.swap(p, last);
+        let r = &mut self.q[last];
+        if slot(r.at) != slot(at) {
+            let n = self.parked.get_mut(&(r.core, r.line)).expect("parked");
+            n[slot(r.at)] -= 1;
+            n[slot(at)] += 1;
+        }
+        r.at = at;
+        let r = *r;
+        let b = self.bucket(at);
+        b.pos.push_back(last);
+        b.kinds[r.core][r.kind()] += 1;
+    }
+
+    /// Removes entry `p` by swap-remove.
+    fn remove(&mut self, p: usize) -> Retry {
+        self.move_tail(p);
+        let r = self.q.swap_remove(p);
+        let key = (r.core, r.line);
+        let n = self.parked.get_mut(&key).expect("parked");
+        n[slot(r.at)] -= 1;
+        if *n == [0; MSHR_RETRY as usize] {
+            self.parked.remove(&key);
+        }
+        r
+    }
+
+    /// Ends a one-by-one scan, handing back the position buffer.
+    fn end_scan(&mut self, due: Vec<usize>) {
+        self.due = due;
+        self.buckets.retain(|b| !b.pos.is_empty());
+    }
+
+    /// Panics unless the incremental index equals one built from scratch
+    /// by re-pushing the queue (admitted flags aside).
+    fn check_index(&self) {
+        let mut fresh = RetryQueue::new(self.cores);
+        for &r in &self.q {
+            fresh.push(r);
+        }
+        let index = |q: &RetryQueue| {
+            let mut v: Vec<_> = q
+                .buckets
+                .iter()
+                .map(|b| (b.at, b.pos.clone(), b.kinds.clone()))
+                .collect();
+            v.sort_by_key(|b| b.0);
+            v
+        };
+        assert_eq!(index(self), index(&fresh), "retry index diverged");
+        assert_eq!(self.parked, fresh.parked, "parked counts diverged");
+    }
+}
+
+/// What a retry sweep needs from the first level it re-attempts
+/// accesses into: [`Hierarchy`], or a fake in the unit test that checks
+/// the sweep against the historical scan.
+trait FirstLevel {
+    fn retries(&mut self) -> &mut RetryQueue;
+    /// Whether every refused attempt must be replayed one by one (the
+    /// probe records each repeated miss).
+    fn replay_each(&self) -> bool;
+    fn mshr_full(&self, core: usize) -> bool;
+    /// The exact refusal test (see module docs).
+    fn refuses(&self, r: &Retry) -> bool;
+    /// Charges one refused attempt of `r` at `now`.
+    fn refused(&mut self, r: &Retry, now: Cycle);
+    /// Charges refused attempts of `core`, counted by [`Retry::kind`].
+    fn refused_many(&mut self, core: usize, kinds: [u32; 2]);
+    /// Re-attempts `r`, which the refusal test admits.
+    fn admit(&mut self, r: Retry, now: Cycle);
+}
+
+/// Sweeps the retries due at `now`: by the closed form when every due
+/// entry is provably refused, otherwise by the historical scan (see
+/// module docs).
+fn sweep_retries<F: FirstLevel>(f: &mut F, now: Cycle) {
+    let at = now + MSHR_RETRY;
+    if let Some(b) = f.retries().sole_due(now).filter(|_| !f.replay_each()) {
+        let bucket = &f.retries().buckets[b];
+        let (cores, admitted) = (bucket.cores(), bucket.admitted);
+        if cores & admitted == 0 && sharer_bits(cores).all(|c| f.mshr_full(c)) {
+            if cfg!(debug_assertions) {
+                let q = f.retries();
+                q.check_index();
+                let due: Vec<Retry> = q.buckets[b].pos.iter().map(|&p| q.q[p]).collect();
+                assert!(
+                    due.iter().all(|r| f.refuses(r)),
+                    "closed form on an admissible retry"
+                );
+            }
+            f.retries().repark_bucket(b, at);
+            for c in sharer_bits(cores) {
+                let kinds = f.retries().buckets[b].kinds[c];
+                f.refused_many(c, kinds);
+            }
+            return;
+        }
+    }
+    let due = f.retries().begin_scan(now);
+    for &p in &due {
+        while let Some(r) = f.retries().due_at(p, now) {
+            if f.refuses(&r) {
+                f.refused(&r, now);
+                f.retries().repark(p, at);
+            } else {
+                let r = f.retries().remove(p);
+                f.admit(r, now);
+            }
+        }
+    }
+    f.retries().end_scan(due);
 }
 
 /// What the predictor said about an in-flight load, kept until training.
@@ -524,12 +811,10 @@ pub struct Hierarchy {
     stats: Vec<CoreHierStats>,
     dram_buf: Vec<Completion>,
     pf_buf: Vec<PrefetchReq>,
-    /// Deferred first-level accesses (exact legacy scan order — see
-    /// module docs).
+    /// Deferred first-level accesses (see module docs).
     retries: RetryQueue,
-    /// Cached `min(retries[..].at)` (`Cycle::MAX` when empty): the O(1)
-    /// nothing-due test for `tick` and the retry term of
-    /// [`Hierarchy::next_event_at`].
+    /// Cached [`RetryQueue::min_at`]: the O(1) nothing-due test for
+    /// `tick` and the retry term of [`Hierarchy::next_event_at`].
     retry_min: Cycle,
     /// Write-permission upgrades in flight, keyed by (core, line): a
     /// second store to the same line while one travels is subsumed by it
@@ -567,7 +852,7 @@ fn pc_sig(pc: u64) -> u16 {
     (hermes_types::mix64(pc) & 0x3FFF) as u16
 }
 
-/// Iterates the set bit positions of a sharer bitmap.
+/// Iterates the set bit positions of a core bitmap (a sharer set).
 fn sharer_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         if mask == 0 {
@@ -628,7 +913,7 @@ impl Hierarchy {
             stats: vec![CoreHierStats::default(); n],
             dram_buf: Vec::new(),
             pf_buf: Vec::new(),
-            retries: RetryQueue::default(),
+            retries: RetryQueue::new(n),
             retry_min: Cycle::MAX,
             pending_upgrades: FastSet::default(),
             filters: (0..n).map(|_| SpecReadFilter::new()).collect(),
@@ -920,6 +1205,7 @@ impl Hierarchy {
         self.note_first_miss(core, waiter, now);
         match self.levels[0].mshr_allocate(core, line, waiter, false) {
             Ok(true) => {
+                self.retries.note_admitted(core, line);
                 let at = now + (self.levels[0].latency() + self.levels[1].latency()) as Cycle;
                 let ctx = LookupCtx {
                     core,
@@ -937,15 +1223,12 @@ impl Hierarchy {
                 // charged to the power model).
                 let at = now + MSHR_RETRY;
                 self.retry_min = self.retry_min.min(at);
-                self.retries.push(
+                self.retries.push(Retry {
                     at,
-                    Retry {
-                        core,
-                        line,
-                        waiter,
-                        epoch: self.levels[0].change_epoch(core),
-                    },
-                );
+                    core,
+                    line,
+                    waiter,
+                });
             }
         }
     }
@@ -1595,6 +1878,7 @@ impl Hierarchy {
                     self.writeback(1, core, ev.line, now);
                 }
             }
+            self.retries.note_admitted(core, line);
             self.notify_fill(core, line);
             if self.coh_active() {
                 let last = self.last();
@@ -1702,39 +1986,10 @@ impl Hierarchy {
     /// and DRAM completions. Finished loads accumulate in the internal
     /// buffer drained by [`Hierarchy::drain_finished`].
     pub fn tick(&mut self, now: Cycle) {
-        // Retries first (they were scheduled in a side queue). The scan
-        // is gated on the cached minimum: a tick with nothing due costs
-        // one comparison. When due entries exist the sweep is the exact
-        // historical swap-remove scan (order preserved bit-for-bit);
-        // entries re-parked mid-scan land behind the cursor with a
-        // future due time and are skipped.
-        //
-        // A due entry whose first level hasn't changed since it parked
-        // (no fill, no MSHR allocation or release — tracked by
-        // [`CacheLevel::change_epoch`]) is *guaranteed* to miss and be
-        // rejected again, so the re-attempt collapses to its counter
-        // and trace side effects: the tag array and MSHR table are not
-        // walked. This is the dominant case under MSHR saturation
-        // (thousands of parked accesses re-attempting every
-        // `MSHR_RETRY` cycles) and is bit-exact by construction.
+        // Retries first (they wait in a side queue, gated on the cached
+        // minimum due cycle).
         if now >= self.retry_min {
-            let mut i = 0;
-            while i < self.retries.len() {
-                if self.retries.at(i) <= now {
-                    let r = *self.retries.body(i);
-                    if r.epoch == self.levels[0].change_epoch(r.core) {
-                        self.count_first_access(r.core, r.waiter);
-                        self.note_first_miss(r.core, r.waiter, now);
-                        self.levels[0].count_rejected_retry();
-                        self.retries.repark(i, now + MSHR_RETRY);
-                    } else {
-                        self.retries.swap_remove(i);
-                        self.access_first(r.core, r.line, r.waiter, now);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+            sweep_retries(self, now);
             self.retry_min = self.retries.min_at();
         }
         while let Some(Reverse(entry)) = self.events.peek() {
@@ -1863,6 +2118,48 @@ impl Hierarchy {
                 .waiters
                 .push((line, waiter, hermes_min)),
         }
+    }
+}
+
+impl FirstLevel for Hierarchy {
+    fn retries(&mut self) -> &mut RetryQueue {
+        &mut self.retries
+    }
+
+    fn replay_each(&self) -> bool {
+        self.probe.is_some()
+    }
+
+    fn mshr_full(&self, core: usize) -> bool {
+        self.levels[0].mshr_full(core)
+    }
+
+    fn refuses(&self, r: &Retry) -> bool {
+        let l1 = &self.levels[0];
+        l1.mshr_full(r.core) && !l1.mshr_contains(r.core, r.line) && !l1.probe(r.core, r.line)
+    }
+
+    fn refused(&mut self, r: &Retry, now: Cycle) {
+        self.count_first_access(r.core, r.waiter);
+        self.note_first_miss(r.core, r.waiter, now);
+        self.levels[0].count_rejected_retries(1);
+    }
+
+    fn refused_many(&mut self, core: usize, [lsu, walk]: [u32; 2]) {
+        let s = &mut self.stats[core];
+        s.l1_accesses += u64::from(lsu);
+        s.walk_mem_accesses += u64::from(walk);
+        self.levels[0].count_rejected_retries(u64::from(lsu + walk));
+    }
+
+    fn admit(&mut self, r: Retry, now: Cycle) {
+        let parked = self.retries.q.len();
+        self.access_first(r.core, r.line, r.waiter, now);
+        debug_assert_eq!(
+            self.retries.q.len(),
+            parked,
+            "refusal test admitted a refused retry"
+        );
     }
 }
 
@@ -2013,5 +2310,276 @@ mod tests {
         );
         assert_eq!(s.walks_completed, 2, "the refill is not a page walk");
         assert_eq!(h.walks_in_flight(), 0);
+    }
+
+    /// The first level reduced to what decides a retry: per core, the
+    /// free MSHR registers and the lines it would admit (in its table
+    /// or its array). Refused and admitted attempts are logged.
+    #[derive(Clone)]
+    struct ModelL1 {
+        free: Vec<u32>,
+        held: FastSet<(usize, LineAddr)>,
+        /// Refused attempts per core, by [`Retry::kind`].
+        refused: Vec<[u64; 2]>,
+        /// Waiter ids of admitted attempts, in order.
+        admitted: Vec<u64>,
+    }
+
+    impl ModelL1 {
+        fn refuses(&self, core: usize, line: LineAddr) -> bool {
+            self.free[core] == 0 && !self.held.contains(&(core, line))
+        }
+
+        /// Admits an attempt; whether it allocated a register.
+        fn admit(&mut self, core: usize, line: LineAddr, waiter: Waiter) -> bool {
+            self.admitted.push(waiter_id(waiter));
+            let allocated = self.held.insert((core, line));
+            if allocated {
+                self.free[core] -= 1;
+            }
+            allocated
+        }
+    }
+
+    fn waiter_id(w: Waiter) -> u64 {
+        match w {
+            Waiter::Load { token, .. } => token,
+            Waiter::Walk { walk } => walk,
+            _ => unreachable!("the model parks loads and walker reads"),
+        }
+    }
+
+    /// The historical retry queue: a `Vec` swept by swap-remove, every
+    /// due entry re-attempted in full.
+    struct Historical {
+        l1: ModelL1,
+        q: Vec<Retry>,
+        /// Admissions whose swap-remove pulled a due tail forward.
+        pulled_due_tail: usize,
+    }
+
+    impl Historical {
+        fn access(&mut self, r: Retry, now: Cycle) {
+            if self.l1.refuses(r.core, r.line) {
+                self.l1.refused[r.core][r.kind()] += 1;
+                self.q.push(Retry {
+                    at: now + MSHR_RETRY,
+                    ..r
+                });
+            } else {
+                self.l1.admit(r.core, r.line, r.waiter);
+            }
+        }
+
+        fn sweep(&mut self, now: Cycle) {
+            let mut i = 0;
+            while i < self.q.len() {
+                if self.q[i].at <= now {
+                    let r = self.q.swap_remove(i);
+                    let admitted = !self.l1.refuses(r.core, r.line);
+                    if admitted && self.q.get(i).is_some_and(|t| t.at <= now) {
+                        self.pulled_due_tail += 1;
+                    }
+                    self.access(r, now);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// [`RetryQueue`] and [`sweep_retries`] over the same model.
+    struct Indexed {
+        l1: ModelL1,
+        retries: RetryQueue,
+        replay: bool,
+        /// Set by the closed form's per-core charge.
+        closed_form: bool,
+    }
+
+    impl Indexed {
+        fn access(&mut self, r: Retry, now: Cycle) {
+            if self.l1.refuses(r.core, r.line) {
+                self.l1.refused[r.core][r.kind()] += 1;
+                self.retries.push(Retry {
+                    at: now + MSHR_RETRY,
+                    ..r
+                });
+            } else if self.l1.admit(r.core, r.line, r.waiter) {
+                self.retries.note_admitted(r.core, r.line);
+            }
+        }
+
+        /// A line reaches `core`'s array, freeing the register it held.
+        fn fill(&mut self, core: usize, line: LineAddr, cap: u32) {
+            self.l1.held.insert((core, line));
+            self.l1.free[core] = (self.l1.free[core] + 1).min(cap);
+            self.retries.note_admitted(core, line);
+        }
+    }
+
+    impl FirstLevel for Indexed {
+        fn retries(&mut self) -> &mut RetryQueue {
+            &mut self.retries
+        }
+        fn replay_each(&self) -> bool {
+            self.replay
+        }
+        fn mshr_full(&self, core: usize) -> bool {
+            self.l1.free[core] == 0
+        }
+        fn refuses(&self, r: &Retry) -> bool {
+            self.l1.refuses(r.core, r.line)
+        }
+        fn refused(&mut self, r: &Retry, _now: Cycle) {
+            self.l1.refused[r.core][r.kind()] += 1;
+        }
+        fn refused_many(&mut self, core: usize, kinds: [u32; 2]) {
+            self.closed_form = true;
+            for (n, k) in self.l1.refused[core].iter_mut().zip(kinds) {
+                *n += u64::from(k);
+            }
+        }
+        fn admit(&mut self, r: Retry, now: Cycle) {
+            let parked = self.retries.q.len();
+            self.access(r, now);
+            assert_eq!(self.retries.q.len(), parked, "admitted retry re-parked");
+        }
+    }
+
+    fn queue_order(q: &[Retry]) -> Vec<(Cycle, usize, u64, u64)> {
+        q.iter()
+            .map(|r| (r.at, r.core, r.line.raw(), waiter_id(r.waiter)))
+            .collect()
+    }
+
+    /// The indexed sweep (closed form or scan) processes the same
+    /// admissions in the same order, charges the same refusals per core
+    /// and requester kind, and leaves the queue in the same order as the
+    /// historical swap-remove scan, on random retry storms: four cores
+    /// with two to four MSHRs each, a small line pool so retries collide
+    /// on lines, fills and evictions between sweeps, requests that park
+    /// before the sweep of their own cycle, and (in half the runs)
+    /// skipped ticks and the probe's one-by-one replay.
+    #[test]
+    fn retry_sweep_matches_the_historical_scan() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const CORES: usize = 4;
+        // Coverage: closed form with k = 1, closed form with the tail in
+        // the due bucket, an admission pulling a due tail forward, and a
+        // sweep with two buckets due.
+        let (mut k1, mut tail_due, mut pulled, mut two_due) = (0, 0, 0, 0);
+        let mut closed = 0;
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let cap = rng.gen_range(2..5u32);
+            let skipping = seed % 2 == 1;
+            let l1 = ModelL1 {
+                free: vec![cap; CORES],
+                held: FastSet::default(),
+                refused: vec![[0; 2]; CORES],
+                admitted: Vec::new(),
+            };
+            let mut old = Historical {
+                l1: l1.clone(),
+                q: Vec::new(),
+                pulled_due_tail: 0,
+            };
+            let mut new = Indexed {
+                l1,
+                retries: RetryQueue::new(CORES),
+                replay: skipping && seed % 4 == 1,
+                closed_form: false,
+            };
+            let mut id = 0u64;
+            for now in 0..3_000u64 {
+                let mut request = |rng: &mut SmallRng| {
+                    id += 1;
+                    let waiter = if rng.gen_bool(0.2) {
+                        Waiter::Walk { walk: id }
+                    } else {
+                        Waiter::Load { token: id, pc: 0 }
+                    };
+                    Retry {
+                        at: now,
+                        core: rng.gen_range(0..CORES),
+                        line: LineAddr::new(rng.gen_range(0..24u64)),
+                        waiter,
+                    }
+                };
+                if rng.gen_bool(0.05) {
+                    let r = request(&mut rng);
+                    old.access(r, now);
+                    new.access(r, now);
+                }
+                if !(skipping && rng.gen_bool(0.15)) {
+                    let due = new.retries.buckets.iter().filter(|b| b.at <= now).count();
+                    two_due += usize::from(due >= 2);
+                    let sole = new.retries.sole_due(now).map(|b| {
+                        let b = &new.retries.buckets[b];
+                        (
+                            b.pos.len(),
+                            b.pos.back() == Some(&(new.retries.q.len() - 1)),
+                        )
+                    });
+                    old.sweep(now);
+                    new.closed_form = false;
+                    if new.retries.min_at() <= now {
+                        sweep_retries(&mut new, now);
+                    }
+                    if new.closed_form {
+                        let (k, tail) = sole.expect("closed form needs a sole due bucket");
+                        closed += 1;
+                        k1 += usize::from(k == 1);
+                        tail_due += usize::from(tail);
+                    }
+                }
+                for _ in 0..rng.gen_range(0..3usize) {
+                    let r = request(&mut rng);
+                    old.access(r, now);
+                    new.access(r, now);
+                }
+                if rng.gen_bool(0.1) {
+                    let (core, line) = (
+                        rng.gen_range(0..CORES),
+                        LineAddr::new(rng.gen_range(0..24u64)),
+                    );
+                    old.l1.held.insert((core, line));
+                    old.l1.free[core] = (old.l1.free[core] + 1).min(cap);
+                    new.fill(core, line, cap);
+                }
+                if rng.gen_bool(0.1) {
+                    let (core, line) = (
+                        rng.gen_range(0..CORES),
+                        LineAddr::new(rng.gen_range(0..24u64)),
+                    );
+                    old.l1.held.remove(&(core, line));
+                    new.l1.held.remove(&(core, line));
+                }
+                assert_eq!(
+                    new.l1.admitted, old.l1.admitted,
+                    "seed {seed} cycle {now}: admissions"
+                );
+                assert_eq!(
+                    new.l1.refused, old.l1.refused,
+                    "seed {seed} cycle {now}: refusals"
+                );
+                assert_eq!(
+                    queue_order(&new.retries.q),
+                    queue_order(&old.q),
+                    "seed {seed} cycle {now}: queue order"
+                );
+                new.retries.check_index();
+            }
+            pulled += old.pulled_due_tail;
+        }
+        assert!(
+            closed > 0 && k1 > 0 && tail_due > 0,
+            "closed form {closed}, k=1 {k1}, tail due {tail_due}"
+        );
+        assert!(
+            pulled > 0 && two_due > 0,
+            "pulled due tail {pulled}, two buckets due {two_due}"
+        );
     }
 }

@@ -340,3 +340,82 @@ fn store_write_allocates_with_walks_survive_exhaustion() {
         assert!(s.walks_completed > 0, "{depth}-level: stores walked too");
     }
 }
+
+/// A load completion: (cycle, core, token, served by).
+type Completion = (u64, usize, u64, ServedBy);
+
+/// Runs a 4-core MESI store+load flood over a shared pool of 48 lines on
+/// 2-register first levels, issuing after each cycle's tick as the
+/// system loop does, until quiescent. Returns the completions and a
+/// rendering of every level's and every core's counters.
+fn coherent_flood(probe: bool) -> (Vec<Completion>, String) {
+    use hermes_cache::CoherenceConfig;
+    use hermes_cpu::StoreIssue;
+    use hermes_types::{mix64, SHARED_BASE};
+    let mut cfg = SystemConfig {
+        cores: 4,
+        levels: vec![tiny("L1D", 2), tiny("L2", 4), tiny("LLC", 4)],
+        ..SystemConfig::baseline_1c().with_prefetcher(hermes_prefetch::PrefetcherKind::None)
+    }
+    .with_coherence(CoherenceConfig::baseline());
+    if probe {
+        cfg = cfg.with_probe(hermes_probe::ProbeConfig::baseline().with_sample_period(1));
+    }
+    let mut h = Hierarchy::new(cfg);
+    let (mut loads, mut requests) = (0u64, 0u64);
+    let mut done = Vec::new();
+    let mut buf = Vec::new();
+    for now in 0..2_000_000u64 {
+        h.tick(now);
+        h.drain_finished(&mut buf);
+        done.extend(buf.iter().map(|&(c, t, s)| (now, c, t, s)));
+        if now < 600 {
+            for core in 0..4 {
+                let r = mix64(now << 8 | core as u64);
+                let vaddr = VirtAddr::new(SHARED_BASE + (r >> 8) % 48 * 64);
+                let pc = 0xa00_000 + (r >> 20) % 16 * 4;
+                match r % 3 {
+                    0 => continue,
+                    1 => h.issue_store(StoreIssue { core, pc, vaddr }, now),
+                    _ => {
+                        let token = loads;
+                        loads += 1;
+                        h.issue_load(
+                            LoadIssue {
+                                core,
+                                token,
+                                pc,
+                                vaddr,
+                            },
+                            now,
+                        );
+                    }
+                }
+                requests += 1;
+            }
+        } else if done.len() as u64 == loads && h.next_event_at() == u64::MAX {
+            break;
+        }
+    }
+    assert_eq!(done.len() as u64, loads, "coherent flood lost loads");
+    assert_eq!(h.mshrs_in_flight(), 0, "coherent flood stranded MSHRs");
+    let stats = format!("{:?} {:?}", h.level_stats(), h.core_stats());
+    let retries = h.level_stats()[0].1.mshr_rejections;
+    assert!(
+        retries > 20 * requests,
+        "{retries} first-level rejections for {requests} requests: no retry storm"
+    );
+    (done, stats)
+}
+
+/// The retry sweep's closed form (probe off: a due bucket whose every
+/// entry is provably refused is re-parked without visiting it) and its
+/// one-by-one scan (probe on: every refusal is replayed) leave the same
+/// machine behind: the same completions in the same cycles and order,
+/// and the same counters at every level and core.
+#[test]
+fn retry_sweep_closed_form_matches_one_by_one_replay() {
+    let (off, on) = (coherent_flood(false), coherent_flood(true));
+    assert_eq!(off.0, on.0, "completion order differs");
+    assert_eq!(off.1, on.1, "counters differ");
+}
