@@ -149,9 +149,11 @@ pub struct CacheArray {
     /// `trailing_zeros` and [`CacheArray::fill`] locate the first free
     /// way without touching the flag bytes.
     present: Vec<u64>,
-    /// Per-line sharer-directory bitmap (one bit per core). Only a
-    /// coherent shared level ever sets bits; everywhere else the vector
-    /// stays all-zero and costs nothing but memory.
+    /// Per-line sharer-directory bitmap (one bit per core), allocated
+    /// by the first [`CacheArray::add_sharer`] or
+    /// [`CacheArray::set_sharers`] on a resident line: only a coherent
+    /// shared level writes it, and an array without it reads 0 for
+    /// every line.
     sharers: Vec<u64>,
     policy: PolicyState,
 }
@@ -173,7 +175,7 @@ impl CacheArray {
             tags: vec![0; lines],
             flags: vec![0; lines],
             present: vec![0; sets],
-            sharers: vec![0; lines],
+            sharers: Vec::new(),
             policy: PolicyState::new(cfg.replacement, lines),
         }
     }
@@ -282,7 +284,7 @@ impl CacheArray {
                 line: LineAddr::new(self.tags[i]),
                 dirty: f & flag::DIRTY != 0,
                 was_unused_prefetch: f & (flag::PREFETCHED | flag::DEMANDED) == flag::PREFETCHED,
-                sharers: self.sharers[i],
+                sharers: self.sharers.get(i).copied().unwrap_or(0),
             };
             (i, Some(ev))
         };
@@ -291,7 +293,9 @@ impl CacheArray {
             | if dirty { flag::DIRTY } else { 0 }
             | if prefetched { flag::PREFETCHED } else { 0 };
         self.present[set] |= 1 << (idx - base);
-        self.sharers[idx] = 0;
+        if let Some(s) = self.sharers.get_mut(idx) {
+            *s = 0;
+        }
         self.policy.on_fill(idx, pc_signature);
         evicted
     }
@@ -301,7 +305,9 @@ impl CacheArray {
         let idx = self.find(line)?;
         let set = self.set_of(line);
         self.present[set] &= !(1 << (idx - set * self.ways));
-        self.sharers[idx] = 0;
+        if let Some(s) = self.sharers.get_mut(idx) {
+            *s = 0;
+        }
         let dirty = self.flags[idx] & flag::DIRTY != 0;
         self.flags[idx] = 0;
         Some(dirty)
@@ -329,7 +335,9 @@ impl CacheArray {
     /// Sharer-directory bitmap of a resident line (zero when absent or
     /// never tracked).
     pub fn sharers(&self, line: LineAddr) -> u64 {
-        self.find(line).map_or(0, |idx| self.sharers[idx])
+        self.find(line)
+            .and_then(|idx| self.sharers.get(idx).copied())
+            .unwrap_or(0)
     }
 
     /// Adds `core` to a resident line's sharer bitmap; returns whether
@@ -337,7 +345,7 @@ impl CacheArray {
     pub fn add_sharer(&mut self, line: LineAddr, core: usize) -> bool {
         debug_assert!(core < 64, "sharer bitmap holds at most 64 cores");
         if let Some(idx) = self.find(line) {
-            self.sharers[idx] |= 1 << core;
+            self.directory()[idx] |= 1 << core;
             true
         } else {
             false
@@ -348,8 +356,16 @@ impl CacheArray {
     /// post-invalidation "sole owner" write).
     pub fn set_sharers(&mut self, line: LineAddr, sharers: u64) {
         if let Some(idx) = self.find(line) {
-            self.sharers[idx] = sharers;
+            self.directory()[idx] = sharers;
         }
+    }
+
+    /// The sharer directory, allocated all-zero on first use.
+    fn directory(&mut self) -> &mut [u64] {
+        if self.sharers.is_empty() {
+            self.sharers = vec![0; self.tags.len()];
+        }
+        &mut self.sharers
     }
 
     /// Number of valid lines currently resident (test/diagnostic helper).
@@ -449,6 +465,26 @@ mod tests {
             c.fill(LineAddr::new(i), false, false, 0);
         }
         assert!(c.occupancy() <= 8);
+    }
+
+    #[test]
+    fn sharer_directory_is_allocated_by_its_first_write() {
+        let mut c = small();
+        let l = |i: u64| LineAddr::new(i * 4);
+        // One set: the third fill evicts.
+        c.fill(l(0), true, false, 0);
+        c.fill(l(1), false, false, 0);
+        let ev = c.fill(l(2), false, false, 0).expect("a full set evicts");
+        assert_eq!((ev.line, ev.sharers), (l(0), 0));
+        assert_eq!(c.invalidate(l(1)), Some(false));
+        c.fill(l(9), false, false, 0);
+        assert!(!c.add_sharer(l(0), 1), "absent line has no directory entry");
+        c.set_sharers(l(0), 0b10);
+        assert!(c.sharers.is_empty(), "no directory without a write");
+        assert_eq!(c.sharers(l(9)), 0);
+        assert!(c.add_sharer(l(9), 2));
+        assert_eq!(c.sharers.len(), c.tags.len());
+        assert_eq!(c.sharers(l(9)), 0b100);
     }
 
     #[test]

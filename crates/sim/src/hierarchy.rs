@@ -117,7 +117,8 @@
 //! `MSHR_RETRY` cycles. The queue's order is the historical `Vec` +
 //! swap-remove scan's, to which the regression goldens are bit-for-bit
 //! sensitive, and it stays the single source of truth; an index beside
-//! it lets a sweep skip the entries it would only re-park:
+//! it lets a sweep re-park the entries it would only refuse without
+//! re-attempting them:
 //!
 //! * **Due buckets.** Every entry parks `MSHR_RETRY` cycles after the
 //!   access it retries, and both schedulers tick the hierarchy exactly at
@@ -132,17 +133,34 @@
 //!   first-level array. A refused attempt only bumps counters (a miss
 //!   leaves the array untouched), and re-parking it in place equals the
 //!   scan's swap-remove + push.
-//! * **Closed form.** When exactly one bucket is due, the probe is off,
-//!   and every core in the bucket has a full table and a clear admitted
-//!   flag, every due entry is provably refused and the scan's outcome is
-//!   known without visiting them. With the bucket at positions p₁<…<pₖ
-//!   holding e₁…eₖ and the tail T outside it, T moves to p₁, each eⱼ to
-//!   pⱼ₊₁, and eₖ to the tail; with the tail inside the bucket, e₁, eₖ,
-//!   e₂, …, eₖ₋₁ land on p₁…pₖ. The counters are added per core from the
-//!   bucket's counts. Any other sweep runs the scan over the due
-//!   positions with the refusal test, moving each index entry with its
-//!   queue entry, and starts the re-parked entries' bucket with clear
-//!   admitted flags.
+//! * **One walk.** A sweep visits the due positions once, in ascending
+//!   order, and does at each what the scan's swap-remove does there. The
+//!   tail entry is held in a *carry* while its slot goes stale. A refused
+//!   entry and the carry swap places (the entry, re-parked, is the new
+//!   tail), so a run of refused entries at p₁<…<pₖ holding e₁…eₖ, with T
+//!   in the carry, puts T at p₁, each eⱼ at pⱼ₊₁ and eₖ in the carry: the
+//!   closed-form rotation, one move per entry, each re-parked position
+//!   appended once to the new bucket. An admission ends a run with the
+//!   scan's swap-remove: the carry lands on the admitted entry's
+//!   position and the entry before the stale slot becomes the carry. A
+//!   due carry is attempted at the position it lands on, as the scan's
+//!   loop does when a swap-remove pulls a due tail forward; so with the
+//!   tail inside an all-refused bucket, e₁, eₖ, e₂, …, eₖ₋₁ land on
+//!   p₁…pₖ. The index follows each move: the new bucket takes the
+//!   re-parked positions, and a later bucket's tail entry that lands on
+//!   a due position moves there in its bucket.
+//! * **Per-core verdict.** Only a core with its admitted flag set in a
+//!   due bucket takes the refusal test. Every other core's due lines are
+//!   in neither its table nor its array, and during the walk only its own
+//!   admissions change either (an admission runs `access_first` for its
+//!   own core, which never touches another core's first level
+//!   synchronously). So such a core's entries are refused while its table
+//!   is full, untested, and admitted while it is not — except that once
+//!   it has been admitted for a line in the sweep, its later entries for
+//!   that line merge. A core whose table is full at the start and that
+//!   admits nothing refuses all of its entries in bulk; an all-refused
+//!   bucket is one run. The counters of refused attempts are added per
+//!   core in one call, unless the probe is on: it replays each.
 //!
 //! The minimum due cycle over the live buckets gates the sweep (a tick
 //! with nothing due costs one comparison) and feeds
@@ -307,12 +325,12 @@ fn slot(at: Cycle) -> usize {
 struct Bucket {
     at: Cycle,
     /// Queue positions of the bucket's entries, ascending.
-    pos: VecDeque<usize>,
+    pos: Vec<usize>,
     /// Entries per core, by [`Retry::kind`].
     kinds: Vec<[u32; 2]>,
     /// Bit `c`: a line core `c` parked in this bucket's slot was
     /// allocated in, or filled into, `c`'s first level since the entries
-    /// were last tested one by one, so one of them may be admitted.
+    /// were last attempted, so one of them may be admitted.
     admitted: u64,
 }
 
@@ -320,20 +338,24 @@ impl Bucket {
     fn new(at: Cycle, cores: usize) -> Self {
         Self {
             at,
-            pos: VecDeque::new(),
+            pos: Vec::new(),
             kinds: vec![[0; 2]; cores],
             admitted: 0,
         }
     }
+}
 
-    /// Bitmap of the cores with entries in the bucket.
-    fn cores(&self) -> u64 {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k[0] + k[1] > 0)
-            .fold(0, |m, (c, _)| m | 1 << c)
-    }
+/// What the entry in a sweep's carry — the queue's logical tail, whose
+/// slot is stale while the sweep runs — is. It decides how the index
+/// follows the entry when it lands on a due position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Carry {
+    /// Due and not yet attempted: attempted where it lands.
+    Due,
+    /// Re-parked by this sweep: where it lands joins the new bucket.
+    Reparked,
+    /// A later bucket's entry: it leaves that bucket's last position.
+    Foreign,
 }
 
 /// The MSHR retry queue: the entries in historical scan order plus the
@@ -347,8 +369,16 @@ struct RetryQueue {
     /// Parked entries per `(core, line)`, by [`slot`] of their due cycle.
     parked: FastMap<(usize, LineAddr), [u32; MSHR_RETRY as usize]>,
     cores: usize,
-    /// Reused buffer for a scan's due positions.
+    /// The running sweep's due positions, ascending. The first `kept`
+    /// are overwritten with the positions of the entries it re-parked.
     due: Vec<usize>,
+    kept: usize,
+    /// The running sweep's due entries not admitted (so far), per core
+    /// and [`Retry::kind`]: at its end, the refused attempts.
+    tally: Vec<[u32; 2]>,
+    /// The `(core, line)` pairs the running sweep admitted for cores
+    /// that take no refusal test.
+    merges: Vec<(usize, LineAddr)>,
 }
 
 impl RetryQueue {
@@ -360,6 +390,9 @@ impl RetryQueue {
             parked: FastMap::default(),
             cores,
             due: Vec::new(),
+            kept: 0,
+            tally: vec![[0; 2]; cores],
+            merges: Vec::new(),
         }
     }
 
@@ -379,7 +412,7 @@ impl RetryQueue {
         let pos = self.q.len();
         self.q.push(r);
         let b = self.bucket(r.at);
-        b.pos.push_back(pos);
+        b.pos.push(pos);
         b.kinds[r.core][r.kind()] += 1;
         self.parked.entry((r.core, r.line)).or_default()[slot(r.at)] += 1;
     }
@@ -408,125 +441,193 @@ impl RetryQueue {
         }
     }
 
-    /// The bucket the closed form may re-park: the only due one, due
-    /// exactly `now`, with no bucket yet at `now + MSHR_RETRY`.
-    fn sole_due(&self, now: Cycle) -> Option<usize> {
-        let mut sole = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if b.at <= now {
-                if sole.is_some() || b.at != now {
-                    return None;
+    /// Opens a sweep at `now`: takes the due buckets out of the index,
+    /// with their positions, ascending, into `due` and their counts into
+    /// the tally, and returns the bitmaps of the cores with due entries
+    /// and of those cores' admitted flags, and the index of the bucket the
+    /// re-parked entries join, due `now + MSHR_RETRY`. That bucket is in
+    /// the index from here on (a due bucket is reused for it when there is
+    /// none), so that admissions later in the sweep flag it. The due
+    /// entries' parked counts move to its slot (the same slot unless
+    /// ticks were skipped).
+    fn open_sweep(&mut self, now: Cycle) -> (u64, u64, usize) {
+        let at = now + MSHR_RETRY;
+        debug_assert!(self.due.is_empty() && self.tally.iter().all(|t| *t == [0; 2]));
+        let (mut admitted, mut buckets) = (0, 0);
+        let open = self.buckets.iter().any(|b| b.at == at);
+        let (mut reuse, mut dst) = (!open, 0);
+        for (i, b) in self.buckets.iter_mut().enumerate() {
+            if b.at > now {
+                continue;
+            }
+            admitted |= b.admitted;
+            if slot(b.at) != slot(at) {
+                for &p in &b.pos {
+                    let r = &self.q[p];
+                    let n = self.parked.get_mut(&(r.core, r.line)).expect("parked");
+                    n[slot(r.at)] -= 1;
+                    n[slot(at)] += 1;
                 }
-                sole = Some(i);
-            } else if b.at == now + MSHR_RETRY {
-                return None;
+            }
+            if buckets == 0 {
+                std::mem::swap(&mut self.due, &mut b.pos);
+                std::mem::swap(&mut self.tally, &mut b.kinds);
+            } else {
+                self.due.append(&mut b.pos);
+                for (t, k) in self.tally.iter_mut().zip(&mut b.kinds) {
+                    t[0] += k[0];
+                    t[1] += k[1];
+                }
+            }
+            buckets += 1;
+            if std::mem::take(&mut reuse) {
+                dst = i;
+                b.at = at;
+                b.admitted = 0;
             }
         }
-        sole
+        self.kept = 0;
+        let cores = self
+            .tally
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| **t != [0; 2])
+            .fold(0, |m, (c, _)| m | 1 << c);
+        if buckets > 1 {
+            self.due.sort_unstable();
+        }
+        if buckets > 1 || open {
+            // Drop the emptied due buckets: all but a reused one are
+            // still due.
+            self.buckets.retain(|b| b.at > now);
+            dst = self.buckets.iter().position(|b| b.at == at).expect("open");
+        }
+        (cores, admitted, dst)
     }
 
-    /// Re-parks every entry of bucket `b` at `at` exactly as the scan
-    /// would, in O(bucket) moves (the closed form in the module docs).
-    fn repark_bucket(&mut self, b: usize, at: Cycle) {
-        let n = self.q.len();
-        let tail_due = self.buckets[b].pos.back() == Some(&(n - 1));
-        if !tail_due {
-            self.move_tail(self.buckets[b].pos[0]);
-        }
-        let bucket = &mut self.buckets[b];
-        for &p in &bucket.pos {
-            self.q[p].at = at;
-        }
-        // Shift the entries one position along [p₁.., tail]: a due tail
-        // is swapped to p₁ and straight back, so it starts at p₂.
-        let mut carry = self.q[n - 1];
-        for &p in bucket.pos.iter().skip(tail_due as usize) {
-            std::mem::swap(&mut carry, &mut self.q[p]);
-        }
-        bucket.at = at;
-        if !tail_due {
-            self.q[n - 1] = carry;
-            bucket.pos.pop_front();
-            bucket.pos.push_back(n - 1);
-        }
+    /// Appends `p` to the re-parked entries' positions, which overwrite
+    /// the due positions the walk has passed.
+    fn keep(&mut self, p: usize) {
+        self.due[self.kept] = p;
+        self.kept += 1;
     }
 
-    /// Moves the tail entry's position to `p` in its bucket, ahead of the
-    /// swap that moves the entry. A due tail has no bucket to update: a
-    /// scan has taken the due buckets out, and the closed form's own
-    /// bucket handles its tail itself.
-    fn move_tail(&mut self, p: usize) {
+    /// Takes the tail entry into the carry (its slot goes stale): `None`
+    /// when the queue is empty.
+    fn take_carry(&mut self, now: Cycle) -> Option<(Retry, Carry)> {
+        let last = self.q.len().checked_sub(1)?;
+        let r = self.q[last];
+        let class = if r.at <= now {
+            Carry::Due
+        } else if self.kept > 0 && self.due[self.kept - 1] == last {
+            self.kept -= 1;
+            Carry::Reparked
+        } else {
+            Carry::Foreign
+        };
+        Some((r, class))
+    }
+
+    /// Re-parks at `at` the run of entries at the due positions from
+    /// `due[i]` on whose cores are in `verdict` (every due core when
+    /// `all`), while the carry holds an entry this sweep re-parked: each
+    /// entry swaps places with the carry, the closed-form rotation. Stops
+    /// before the tail and returns the run's length.
+    fn repark_run(
+        &mut self,
+        i: usize,
+        verdict: u64,
+        all: bool,
+        carry: &mut Retry,
+        at: Cycle,
+    ) -> usize {
         let last = self.q.len() - 1;
-        let at = self.q[last].at;
-        if p == last {
-            return;
+        // Only the last few positions can be at or past the tail.
+        let mut end = self.due.len();
+        while end > i && self.due[end - 1] >= last {
+            end -= 1;
         }
-        if let Some(b) = self.buckets.iter_mut().find(|b| b.at == at) {
-            let popped = b.pos.pop_back();
-            debug_assert_eq!(popped, Some(last), "the tail is its bucket's last entry");
-            let i = b.pos.partition_point(|&x| x < p);
-            b.pos.insert(i, p);
-        }
-    }
-
-    /// Starts a one-by-one scan at `now`: takes the due buckets out and
-    /// returns their positions, ascending, and opens the bucket re-parked
-    /// entries join, so that admissions later in the scan flag it.
-    fn begin_scan(&mut self, now: Cycle) -> Vec<usize> {
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        self.buckets.retain(|b| {
-            if b.at <= now {
-                due.extend(&b.pos);
+        let mut c = *carry;
+        let mut j = i;
+        while j < end {
+            let p = self.due[j];
+            if !all && verdict >> self.q[p].core & 1 == 0 {
+                break;
             }
-            b.at > now
-        });
-        due.sort_unstable();
-        self.bucket(now + MSHR_RETRY);
-        due
-    }
-
-    /// The entry at position `p` if it exists and is due at `now`.
-    fn due_at(&self, p: usize, now: Cycle) -> Option<Retry> {
-        self.q.get(p).filter(|r| r.at <= now).copied()
-    }
-
-    /// Re-parks entry `p` at `at`: the queue state of `swap_remove(p)`
-    /// then `push`.
-    fn repark(&mut self, p: usize, at: Cycle) {
-        self.move_tail(p);
-        let last = self.q.len() - 1;
-        self.q.swap(p, last);
-        let r = &mut self.q[last];
-        if slot(r.at) != slot(at) {
-            let n = self.parked.get_mut(&(r.core, r.line)).expect("parked");
-            n[slot(r.at)] -= 1;
-            n[slot(at)] += 1;
+            let r = std::mem::replace(&mut self.q[p], c);
+            c = Retry { at, ..r };
+            self.due[self.kept + j - i] = p;
+            j += 1;
         }
-        r.at = at;
-        let r = *r;
-        let b = self.bucket(at);
-        b.pos.push_back(last);
-        b.kinds[r.core][r.kind()] += 1;
+        *carry = c;
+        self.kept += j - i;
+        j - i
     }
 
-    /// Removes entry `p` by swap-remove.
-    fn remove(&mut self, p: usize) -> Retry {
-        self.move_tail(p);
-        let r = self.q.swap_remove(p);
+    /// Writes the carry `r` to position `p`, moving its index entry from
+    /// the tail to `p`.
+    fn land(&mut self, p: usize, r: Retry, class: Carry) {
+        match class {
+            Carry::Due => {}
+            Carry::Reparked => self.keep(p),
+            Carry::Foreign => {
+                let last = self.q.len() - 1;
+                let b = self.bucket(r.at);
+                let popped = b.pos.pop();
+                debug_assert_eq!(popped, Some(last), "the tail is its bucket's last entry");
+                let i = b.pos.partition_point(|&x| x < p);
+                b.pos.insert(i, p);
+            }
+        }
+        self.q[p] = r;
+    }
+
+    /// Drops admitted entry `r`, due before `at`, from the parked counts
+    /// (in the slot [`RetryQueue::open_sweep`] moved them to) and the
+    /// tally.
+    fn unpark(&mut self, r: &Retry, at: Cycle) {
+        self.tally[r.core][r.kind()] -= 1;
         let key = (r.core, r.line);
         let n = self.parked.get_mut(&key).expect("parked");
-        n[slot(r.at)] -= 1;
+        n[slot(at)] -= 1;
         if *n == [0; MSHR_RETRY as usize] {
             self.parked.remove(&key);
         }
-        r
     }
 
-    /// Ends a one-by-one scan, handing back the position buffer.
-    fn end_scan(&mut self, due: Vec<usize>) {
-        self.due = due;
-        self.buckets.retain(|b| !b.pos.is_empty());
+    /// Closes a sweep: writes the carry back to the tail and moves the
+    /// re-parked entries' positions and the tally into bucket `dst`,
+    /// leaving `due` empty and the tally zero.
+    fn close_sweep(&mut self, carry: (Retry, Carry), dst: usize) {
+        if let Some(last) = self.q.len().checked_sub(1) {
+            let (r, class) = carry;
+            self.q[last] = r;
+            debug_assert_ne!(class, Carry::Due, "a due retry left unattempted");
+            if class == Carry::Reparked {
+                // Each kept position holds a distinct refused due entry,
+                // so one due position is still free for the carry.
+                self.keep(last);
+            }
+        }
+        self.due.truncate(self.kept);
+        self.merges.clear();
+        let b = &mut self.buckets[dst];
+        if b.pos.is_empty() {
+            // A reused due bucket: empty, with zero counts.
+            std::mem::swap(&mut b.pos, &mut self.due);
+            std::mem::swap(&mut b.kinds, &mut self.tally);
+        } else {
+            b.pos.append(&mut self.due);
+            b.pos.sort_unstable();
+            for (k, t) in b.kinds.iter_mut().zip(&mut self.tally) {
+                k[0] += t[0];
+                k[1] += t[1];
+                *t = [0; 2];
+            }
+        }
+        if b.pos.is_empty() {
+            self.buckets.swap_remove(dst);
+        }
     }
 
     /// Panics unless the incremental index equals one built from scratch
@@ -569,45 +670,117 @@ trait FirstLevel {
     fn admit(&mut self, r: Retry, now: Cycle);
 }
 
-/// Sweeps the retries due at `now`: by the closed form when every due
-/// entry is provably refused, otherwise by the historical scan (see
-/// module docs).
-fn sweep_retries<F: FirstLevel>(f: &mut F, now: Cycle) {
+/// Sweeps the retries due at `now`: one walk over their positions, in
+/// order, with the historical scan's outcome (see module docs). Returns
+/// how many due entries were refused without the exact refusal test.
+fn sweep_retries<F: FirstLevel>(f: &mut F, now: Cycle) -> usize {
     let at = now + MSHR_RETRY;
-    if let Some(b) = f.retries().sole_due(now).filter(|_| !f.replay_each()) {
-        let bucket = &f.retries().buckets[b];
-        let (cores, admitted) = (bucket.cores(), bucket.admitted);
-        if cores & admitted == 0 && sharer_bits(cores).all(|c| f.mshr_full(c)) {
-            if cfg!(debug_assertions) {
-                let q = f.retries();
-                q.check_index();
-                let due: Vec<Retry> = q.buckets[b].pos.iter().map(|&p| q.q[p]).collect();
-                assert!(
-                    due.iter().all(|r| f.refuses(r)),
-                    "closed form on an admissible retry"
-                );
+    let replay = f.replay_each();
+    let (cores, flagged, dst) = f.retries().open_sweep(now);
+    // A core flagged in a due bucket takes the exact refusal test. Any
+    // other core's due lines are in neither its MSHR table nor its
+    // array, and only its own admissions change either during the walk:
+    // its entries are refused while the table is full, except those for
+    // a line it was admitted for in this sweep (`merges`), which merge.
+    let mut full = sharer_bits(cores & !flagged)
+        .filter(|&c| f.mshr_full(c))
+        .fold(0u64, |m, c| m | 1 << c);
+    let mut merging = 0u64;
+    if cfg!(debug_assertions) {
+        let q = f.retries();
+        let due: Vec<Retry> = q.due.iter().map(|&p| q.q[p]).collect();
+        for r in due.iter().filter(|r| full >> r.core & 1 == 1) {
+            assert!(f.refuses(r), "verdict on an admissible retry");
+        }
+    }
+    let mut skipped = 0;
+    let (mut carry, mut class) = f.retries().take_carry(now).expect("due retries");
+    let mut i = 0;
+    while i < f.retries().due.len() {
+        if class == Carry::Reparked && !replay {
+            // The cores that refuse every due entry of theirs untested.
+            let verdict = full & !merging;
+            let all = cores & !verdict == 0;
+            let run = f.retries().repark_run(i, verdict, all, &mut carry, at);
+            skipped += run;
+            i += run;
+            if i == f.retries().due.len() {
+                break;
             }
-            f.retries().repark_bucket(b, at);
-            for c in sharer_bits(cores) {
-                let kinds = f.retries().buckets[b].kinds[c];
+        }
+        // One attempt at `p`, the scan's swap-remove. The position is
+        // attempted again when a due carry lands on it.
+        let q = f.retries();
+        let p = q.due[i];
+        let n = q.q.len();
+        if p >= n {
+            break;
+        }
+        let tail = p + 1 == n;
+        let r = if tail { carry } else { q.q[p] };
+        if r.at > now {
+            i += 1;
+            continue;
+        }
+        let core = 1u64 << r.core;
+        let tested = flagged & core != 0;
+        let refuses = if tested {
+            f.refuses(&r)
+        } else {
+            full & core != 0 && (merging & core == 0 || !q.merges.contains(&(r.core, r.line)))
+        };
+        debug_assert_eq!(refuses, f.refuses(&r), "refusal rule on {r:?}");
+        let landed = class;
+        if refuses {
+            skipped += usize::from(!tested);
+            if replay {
+                f.refused(&r, now);
+            }
+            let q = f.retries();
+            if !tail {
+                q.land(p, carry, class);
+            }
+            (carry, class) = (Retry { at, ..r }, Carry::Reparked);
+        } else {
+            let q = f.retries();
+            q.unpark(&r, at);
+            if !tail {
+                q.land(p, carry, class);
+            }
+            q.q.pop();
+            if !tested {
+                q.merges.push((r.core, r.line));
+            }
+            let next = q.take_carry(now);
+            f.admit(r, now);
+            if !tested {
+                merging |= core;
+                if f.mshr_full(r.core) {
+                    full |= core;
+                }
+            }
+            match next {
+                Some(next) => (carry, class) = next,
+                None => break,
+            }
+        }
+        if tail || landed != Carry::Due {
+            i += 1;
+        }
+    }
+    if !replay {
+        for c in sharer_bits(cores) {
+            let kinds = f.retries().tally[c];
+            if kinds != [0; 2] {
                 f.refused_many(c, kinds);
             }
-            return;
         }
     }
-    let due = f.retries().begin_scan(now);
-    for &p in &due {
-        while let Some(r) = f.retries().due_at(p, now) {
-            if f.refuses(&r) {
-                f.refused(&r, now);
-                f.retries().repark(p, at);
-            } else {
-                let r = f.retries().remove(p);
-                f.admit(r, now);
-            }
-        }
+    f.retries().close_sweep((carry, class), dst);
+    if cfg!(debug_assertions) {
+        f.retries().check_index();
     }
-    f.retries().end_scan(due);
+    skipped
 }
 
 /// What the predictor said about an in-flight load, kept until training.
@@ -2349,13 +2522,27 @@ mod tests {
         }
     }
 
+    /// Turns of the historical scan that the walk handles apart, counted
+    /// to show the random storms reach them.
+    #[derive(Default)]
+    struct Cases {
+        /// Admissions whose swap-remove pulled a due tail forward.
+        pulled_due_tail: usize,
+        /// Admissions of the entry that was the queue's tail.
+        admitted_tail: usize,
+        /// Admissions after which the tail is a later bucket's entry
+        /// (neither due nor re-parked by the sweep).
+        foreign_after_admit: usize,
+        /// Refusals that follow an admission that followed a refusal.
+        admit_between_refusals: usize,
+    }
+
     /// The historical retry queue: a `Vec` swept by swap-remove, every
     /// due entry re-attempted in full.
     struct Historical {
         l1: ModelL1,
         q: Vec<Retry>,
-        /// Admissions whose swap-remove pulled a due tail forward.
-        pulled_due_tail: usize,
+        cases: Cases,
     }
 
     impl Historical {
@@ -2372,13 +2559,29 @@ mod tests {
         }
 
         fn sweep(&mut self, now: Cycle) {
+            let mut reparked = FastSet::default();
+            // 0: no refusal yet, 1: refused, 2: refused then admitted.
+            let mut runs = 0;
             let mut i = 0;
             while i < self.q.len() {
                 if self.q[i].at <= now {
+                    let tail = i + 1 == self.q.len();
                     let r = self.q.swap_remove(i);
-                    let admitted = !self.l1.refuses(r.core, r.line);
-                    if admitted && self.q.get(i).is_some_and(|t| t.at <= now) {
-                        self.pulled_due_tail += 1;
+                    let c = &mut self.cases;
+                    if self.l1.refuses(r.core, r.line) {
+                        reparked.insert(waiter_id(r.waiter));
+                        c.admit_between_refusals += usize::from(runs == 2);
+                        runs = 1;
+                    } else {
+                        if self.q.get(i).is_some_and(|t| t.at <= now) {
+                            c.pulled_due_tail += 1;
+                        }
+                        c.admitted_tail += usize::from(tail);
+                        if let Some(t) = self.q.last() {
+                            let foreign = t.at > now && !reparked.contains(&waiter_id(t.waiter));
+                            c.foreign_after_admit += usize::from(foreign);
+                        }
+                        runs = if runs == 0 { 0 } else { 2 };
                     }
                     self.access(r, now);
                 } else {
@@ -2393,11 +2596,25 @@ mod tests {
         l1: ModelL1,
         retries: RetryQueue,
         replay: bool,
-        /// Set by the closed form's per-core charge.
-        closed_form: bool,
+        /// Refused attempts replayed one by one.
+        replayed: usize,
     }
 
     impl Indexed {
+        fn new(free: &[u32], replay: bool) -> Self {
+            Self {
+                l1: ModelL1 {
+                    free: free.to_vec(),
+                    held: FastSet::default(),
+                    refused: vec![[0; 2]; free.len()],
+                    admitted: Vec::new(),
+                },
+                retries: RetryQueue::new(free.len()),
+                replay,
+                replayed: 0,
+            }
+        }
+
         fn access(&mut self, r: Retry, now: Cycle) {
             if self.l1.refuses(r.core, r.line) {
                 self.l1.refused[r.core][r.kind()] += 1;
@@ -2432,10 +2649,12 @@ mod tests {
             self.l1.refuses(r.core, r.line)
         }
         fn refused(&mut self, r: &Retry, _now: Cycle) {
+            assert!(self.replay, "one-by-one charge without the probe");
+            self.replayed += 1;
             self.l1.refused[r.core][r.kind()] += 1;
         }
         fn refused_many(&mut self, core: usize, kinds: [u32; 2]) {
-            self.closed_form = true;
+            assert!(!self.replay, "per-core charge with the probe on");
             for (n, k) in self.l1.refused[core].iter_mut().zip(kinds) {
                 *n += u64::from(k);
             }
@@ -2453,43 +2672,46 @@ mod tests {
             .collect()
     }
 
-    /// The indexed sweep (closed form or scan) processes the same
-    /// admissions in the same order, charges the same refusals per core
-    /// and requester kind, and leaves the queue in the same order as the
-    /// historical swap-remove scan, on random retry storms: four cores
-    /// with two to four MSHRs each, a small line pool so retries collide
-    /// on lines, fills and evictions between sweeps, requests that park
-    /// before the sweep of their own cycle, and (in half the runs)
-    /// skipped ticks and the probe's one-by-one replay.
+    /// A load of `core` for `line`, identified by `token`, arriving at
+    /// `at`.
+    fn retry(core: usize, line: u64, token: u64, at: Cycle) -> Retry {
+        Retry {
+            at,
+            core,
+            line: LineAddr::new(line),
+            waiter: Waiter::Load { token, pc: 0 },
+        }
+    }
+
+    /// The indexed sweep processes the same admissions in the same order,
+    /// charges the same refusals per core and requester kind, and leaves
+    /// the queue in the same order as the historical swap-remove scan, on
+    /// random retry storms: four cores with two to four MSHRs each, a
+    /// small line pool so retries collide on lines, fills and evictions
+    /// between sweeps, requests that park before the sweep of their own
+    /// cycle, and (in half the runs) skipped ticks and the probe's
+    /// one-by-one replay.
     #[test]
     fn retry_sweep_matches_the_historical_scan() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         const CORES: usize = 4;
-        // Coverage: closed form with k = 1, closed form with the tail in
-        // the due bucket, an admission pulling a due tail forward, and a
-        // sweep with two buckets due.
+        // Coverage: the closed form, a lone due bucket rotated whole with
+        // every entry refused untested, with k = 1 and with the tail in
+        // it; an admission pulling a due tail forward; a sweep with two
+        // buckets due; and the walk's turns counted in `Cases`.
         let (mut k1, mut tail_due, mut pulled, mut two_due) = (0, 0, 0, 0);
         let mut closed = 0;
+        let mut cases = Cases::default();
+        let mut replayed = 0;
         for seed in 0..24u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let cap = rng.gen_range(2..5u32);
             let skipping = seed % 2 == 1;
-            let l1 = ModelL1 {
-                free: vec![cap; CORES],
-                held: FastSet::default(),
-                refused: vec![[0; 2]; CORES],
-                admitted: Vec::new(),
-            };
+            let mut new = Indexed::new(&[cap; CORES], skipping && seed % 4 == 1);
             let mut old = Historical {
-                l1: l1.clone(),
+                l1: new.l1.clone(),
                 q: Vec::new(),
-                pulled_due_tail: 0,
-            };
-            let mut new = Indexed {
-                l1,
-                retries: RetryQueue::new(CORES),
-                replay: skipping && seed % 4 == 1,
-                closed_form: false,
+                cases: Cases::default(),
             };
             let mut id = 0u64;
             for now in 0..3_000u64 {
@@ -2513,25 +2735,24 @@ mod tests {
                     new.access(r, now);
                 }
                 if !(skipping && rng.gen_bool(0.15)) {
-                    let due = new.retries.buckets.iter().filter(|b| b.at <= now).count();
-                    two_due += usize::from(due >= 2);
-                    let sole = new.retries.sole_due(now).map(|b| {
-                        let b = &new.retries.buckets[b];
-                        (
-                            b.pos.len(),
-                            b.pos.back() == Some(&(new.retries.q.len() - 1)),
-                        )
+                    let due: Vec<&Bucket> =
+                        new.retries.buckets.iter().filter(|b| b.at <= now).collect();
+                    two_due += usize::from(due.len() >= 2);
+                    // A lone due bucket: due now, with none yet at
+                    // now + MSHR_RETRY for its entries to join.
+                    let next = new.retries.buckets.iter().any(|b| b.at == now + MSHR_RETRY);
+                    let sole = (due.len() == 1 && due[0].at == now && !next).then(|| {
+                        let pos = &due[0].pos;
+                        (pos.len(), pos.last() == Some(&(new.retries.q.len() - 1)))
                     });
                     old.sweep(now);
-                    new.closed_form = false;
                     if new.retries.min_at() <= now {
-                        sweep_retries(&mut new, now);
-                    }
-                    if new.closed_form {
-                        let (k, tail) = sole.expect("closed form needs a sole due bucket");
-                        closed += 1;
-                        k1 += usize::from(k == 1);
-                        tail_due += usize::from(tail);
+                        let untested = sweep_retries(&mut new, now);
+                        if let Some((k, tail)) = sole.filter(|&(k, _)| untested == k) {
+                            closed += 1;
+                            k1 += usize::from(k == 1);
+                            tail_due += usize::from(tail);
+                        }
                     }
                 }
                 for _ in 0..rng.gen_range(0..3usize) {
@@ -2571,7 +2792,11 @@ mod tests {
                 );
                 new.retries.check_index();
             }
-            pulled += old.pulled_due_tail;
+            pulled += old.cases.pulled_due_tail;
+            cases.admitted_tail += old.cases.admitted_tail;
+            cases.foreign_after_admit += old.cases.foreign_after_admit;
+            cases.admit_between_refusals += old.cases.admit_between_refusals;
+            replayed += new.replayed;
         }
         assert!(
             closed > 0 && k1 > 0 && tail_due > 0,
@@ -2581,5 +2806,100 @@ mod tests {
             pulled > 0 && two_due > 0,
             "pulled due tail {pulled}, two buckets due {two_due}"
         );
+        let Cases {
+            admitted_tail,
+            foreign_after_admit,
+            admit_between_refusals,
+            ..
+        } = cases;
+        assert!(
+            admit_between_refusals > 0 && foreign_after_admit > 0 && admitted_tail > 0,
+            "admission between refused runs {admit_between_refusals}, foreign carry after an \
+             admission {foreign_after_admit}, admitted tail {admitted_tail}"
+        );
+        assert!(replayed > 0, "no refusal replayed one by one");
+    }
+
+    /// Sweeps `new` and `old` at `now` and checks they agree; returns the
+    /// entries refused untested.
+    fn sweep_both(new: &mut Indexed, old: &mut Historical, now: Cycle) -> usize {
+        old.sweep(now);
+        let untested = sweep_retries(new, now);
+        assert_eq!(new.l1.admitted, old.l1.admitted, "admissions");
+        assert_eq!(new.l1.refused, old.l1.refused, "refusals");
+        assert_eq!(
+            queue_order(&new.retries.q),
+            queue_order(&old.q),
+            "queue order"
+        );
+        new.retries.check_index();
+        untested
+    }
+
+    fn historical(new: &Indexed) -> Historical {
+        Historical {
+            l1: new.l1.clone(),
+            q: new.retries.q.clone(),
+            cases: Cases::default(),
+        }
+    }
+
+    /// A core with one free register and two due entries for one line:
+    /// the first allocates it, which fills the table, and the second must
+    /// still be admitted, as a merge.
+    #[test]
+    fn a_core_that_fills_its_table_in_the_sweep_still_merges() {
+        let mut new = Indexed::new(&[0, 0], false);
+        new.access(retry(0, 7, 1, 0), 0);
+        new.access(retry(0, 7, 2, 0), 0);
+        new.fill(0, LineAddr::new(9), 1);
+        let mut old = historical(&new);
+        assert_eq!(sweep_both(&mut new, &mut old, MSHR_RETRY), 0);
+        assert_eq!(new.l1.admitted, [1, 2], "allocation, then merge");
+        assert_eq!(new.l1.free[0], 0, "one register for both");
+        assert!(new.retries.q.is_empty() && new.retries.buckets.is_empty());
+    }
+
+    /// A core whose admitted flag is set is tested entry by entry, even
+    /// with a full table: its line was allocated since it parked.
+    #[test]
+    fn an_admitted_flag_forces_the_test_on_a_full_core() {
+        let mut new = Indexed::new(&[0, 0], false);
+        new.access(retry(0, 7, 1, 0), 0);
+        new.access(retry(0, 8, 2, 0), 0);
+        new.fill(0, LineAddr::new(9), 1);
+        // A fresh request for line 7 takes the last register.
+        new.access(retry(0, 7, 3, 1), 1);
+        assert!(new.mshr_full(0));
+        assert_eq!(
+            new.retries.buckets[0].admitted, 1,
+            "flagged by the allocation"
+        );
+        let mut old = historical(&new);
+        assert_eq!(sweep_both(&mut new, &mut old, MSHR_RETRY), 0, "no verdict");
+        assert_eq!(new.l1.admitted, [3, 1], "the parked line-7 load merges");
+        assert_eq!(new.l1.refused[0], [3, 0], "line 8 is refused, tested");
+    }
+
+    /// An admission by one core leaves another core's verdict in force:
+    /// the full core's entries after the admission are refused untested
+    /// too.
+    #[test]
+    fn an_admission_leaves_other_cores_verdicts_in_force() {
+        let mut new = Indexed::new(&[0, 0], false);
+        for (core, line, token) in [(1, 3, 1), (0, 5, 2), (1, 4, 3), (1, 6, 4), (0, 5, 5)] {
+            new.access(retry(core, line, token, 0), 0);
+        }
+        new.fill(0, LineAddr::new(9), 1);
+        let mut old = historical(&new);
+        assert_eq!(
+            sweep_both(&mut new, &mut old, MSHR_RETRY),
+            3,
+            "core 1's three entries"
+        );
+        // The due tail is pulled forward to the first position.
+        assert_eq!(new.l1.admitted, [5, 2], "core 0 allocates, then merges");
+        assert_eq!(new.l1.refused[1], [6, 0], "three parked, three refused");
+        assert_eq!(new.retries.q.len(), 3);
     }
 }
