@@ -116,39 +116,45 @@
 //! power model or, for a walker read, to `walk_mem_accesses`) after
 //! `MSHR_RETRY` cycles. The queue's order is the historical `Vec` +
 //! swap-remove scan's, to which the regression goldens are bit-for-bit
-//! sensitive, and it stays the single source of truth; an index beside
-//! it lets a sweep re-park the entries it would only refuse without
-//! re-attempting them:
+//! sensitive, but no `Vec` holds it: each entry lives in the bucket of
+//! its due cycle, so a sweep that refuses a whole bucket moves none of
+//! its entries.
 //!
-//! * **Due buckets.** Every entry parks `MSHR_RETRY` cycles after the
-//!   access it retries, and both schedulers tick the hierarchy exactly at
+//! * **Buckets.** Every entry parks `MSHR_RETRY` cycles after the access
+//!   it retries, and both schedulers tick the hierarchy exactly at
 //!   [`Hierarchy::next_event_at`], so a sweep's due set is one bucket of
 //!   entries sharing a due cycle, and at most `MSHR_RETRY` buckets are
-//!   live. Each bucket keeps its queue positions in ascending order, its
-//!   entries per core and requester kind, and a per-core *admitted* flag,
-//!   set when a line parked in the bucket is allocated in, or filled into,
-//!   that core's first level.
+//!   live. A bucket holds its entries in queue order next to their
+//!   ascending queue positions: the queue is the buckets merged by
+//!   position, and its tail is the entry at position `len − 1`. A bucket
+//!   also counts its entries per core and requester kind, and keeps a
+//!   per-core *admitted* flag, set when a line parked in the bucket is
+//!   allocated in, or filled into, that core's first level.
 //! * **Refusal test.** A due retry is refused again iff its core's MSHR
 //!   table is full and its line is neither in that table nor in the
 //!   first-level array. A refused attempt only bumps counters (a miss
-//!   leaves the array untouched), and re-parking it in place equals the
-//!   scan's swap-remove + push.
-//! * **One walk.** A sweep visits the due positions once, in ascending
-//!   order, and does at each what the scan's swap-remove does there. The
-//!   tail entry is held in a *carry* while its slot goes stale. A refused
-//!   entry and the carry swap places (the entry, re-parked, is the new
-//!   tail), so a run of refused entries at p₁<…<pₖ holding e₁…eₖ, with T
-//!   in the carry, puts T at p₁, each eⱼ at pⱼ₊₁ and eₖ in the carry: the
-//!   closed-form rotation, one move per entry, each re-parked position
-//!   appended once to the new bucket. An admission ends a run with the
-//!   scan's swap-remove: the carry lands on the admitted entry's
-//!   position and the entry before the stale slot becomes the carry. A
-//!   due carry is attempted at the position it lands on, as the scan's
-//!   loop does when a swap-remove pulls a due tail forward; so with the
-//!   tail inside an all-refused bucket, e₁, eₖ, e₂, …, eₖ₋₁ land on
-//!   p₁…pₖ. The index follows each move: the new bucket takes the
-//!   re-parked positions, and a later bucket's tail entry that lands on
-//!   a due position moves there in its bucket.
+//!   leaves the array untouched), so re-parking it needs no attempt.
+//! * **Whole-bucket re-park.** When every due entry is refused, the
+//!   scan's swap-removes and pushes keep e₁…eₖ (at p₁<…<pₖ) in order and
+//!   only move them, to p₂…pₖ and `len − 1`, while the tail, a later
+//!   bucket's entry, lands on p₁. So the sweep pops the due bucket's
+//!   first position and appends the last one (the positions are a ring
+//!   buffer), relabels the bucket `now + MSHR_RETRY`, and moves the tail
+//!   within its own bucket: one insertion, whatever k, and no due entry
+//!   moves. With the tail among the due entries the positions stay and
+//!   the order becomes e₁, eₖ, e₂, …, eₖ₋₁: one move within the bucket.
+//! * **Walk.** Any other sweep visits the due entries once, in queue
+//!   order, and does at each what the scan's swap-remove does there: the
+//!   tail lands on the entry's position, and a refused entry becomes the
+//!   tail. A re-parked tail is held in a *carry* until the walk lands it
+//!   on a due position; the landed entries fill the due bucket's slots
+//!   the walk has passed, which become the re-parked bucket. So a run of
+//!   refused entries shifts one slot into them: the carry lands on the
+//!   run's first position, each entry on the next one's, and the last
+//!   becomes the carry. A due tail that lands is attempted at its new
+//!   position next, as the scan's loop does when a swap-remove pulls a
+//!   due tail forward, and a later bucket's tail moves within its
+//!   bucket.
 //! * **Per-core verdict.** Only a core with its admitted flag set in a
 //!   due bucket takes the refusal test. Every other core's due lines are
 //!   in neither its table nor its array, and during the walk only its own
@@ -158,9 +164,10 @@
 //!   is full, untested, and admitted while it is not — except that once
 //!   it has been admitted for a line in the sweep, its later entries for
 //!   that line merge. A core whose table is full at the start and that
-//!   admits nothing refuses all of its entries in bulk; an all-refused
-//!   bucket is one run. The counters of refused attempts are added per
-//!   core in one call, unless the probe is on: it replays each.
+//!   admits nothing refuses all of its entries in bulk, and when every
+//!   core with due entries does, the sweep is a whole-bucket re-park. The
+//!   counters of refused attempts are added per core in one call, unless
+//!   the probe is on: it replays each.
 //!
 //! The minimum due cycle over the live buckets gates the sweep (a tick
 //! with nothing due costs one comparison) and feeds
@@ -296,11 +303,10 @@ impl Ord for HeapEntry {
     }
 }
 
-/// A first-level request deferred by MSHR exhaustion, waiting in the
-/// retry queue until cycle `at`.
+/// A first-level request deferred by MSHR exhaustion. It waits in the
+/// retry queue's bucket of its due cycle.
 #[derive(Debug, Clone, Copy)]
 struct Retry {
-    at: Cycle,
     core: usize,
     line: LineAddr,
     waiter: Waiter,
@@ -314,18 +320,23 @@ impl Retry {
     }
 }
 
-/// The index slot of due cycle `at`. A bucket re-parked by a sweep at its
-/// due cycle moves `MSHR_RETRY` cycles on and keeps its slot.
+/// The parked-count slot of due cycle `at`. A bucket re-parked by a
+/// sweep at its due cycle moves `MSHR_RETRY` cycles on and keeps its
+/// slot.
 fn slot(at: Cycle) -> usize {
     (at % MSHR_RETRY) as usize
 }
 
-/// The retries sharing one due cycle (see module docs).
+/// The retries sharing one due cycle, in queue order (see module docs).
 #[derive(Debug)]
 struct Bucket {
     at: Cycle,
-    /// Queue positions of the bucket's entries, ascending.
-    pos: Vec<usize>,
+    /// Queue positions of the entries, ascending: a ring buffer, so that
+    /// a whole-bucket re-park pops the first and appends the last.
+    pos: VecDeque<usize>,
+    /// The entries, `rs[j]` at position `pos[j]`: a ring buffer too, so
+    /// that the tail lands near either end with few moves.
+    rs: VecDeque<Retry>,
     /// Entries per core, by [`Retry::kind`].
     kinds: Vec<[u32; 2]>,
     /// Bit `c`: a line core `c` parked in this bucket's slot was
@@ -335,47 +346,74 @@ struct Bucket {
 }
 
 impl Bucket {
-    fn new(at: Cycle, cores: usize) -> Self {
+    fn new(cores: usize) -> Self {
         Self {
-            at,
-            pos: Vec::new(),
+            at: 0,
+            pos: VecDeque::new(),
+            rs: VecDeque::new(),
             kinds: vec![[0; 2]; cores],
             admitted: 0,
         }
     }
+
+    /// Takes out the last entry, which holds queue position `last`.
+    fn pop(&mut self, last: usize) -> Retry {
+        let p = self.pos.pop_back();
+        debug_assert_eq!(p, Some(last), "the tail is its bucket's last entry");
+        self.rs.pop_back().expect("a non-empty bucket")
+    }
+
+    /// Inserts `r` at queue position `p`, among the entries in order.
+    fn insert(&mut self, p: usize, r: Retry) {
+        let j = self.pos.partition_point(|&x| x < p);
+        self.pos.insert(j, p);
+        self.rs.insert(j, r);
+    }
+
+    /// Moves `other`'s entries in, merged by position, with its counts
+    /// and admitted flags; leaves `other` empty with zero counts.
+    fn absorb(&mut self, other: &mut Bucket) {
+        let mut all: Vec<(usize, Retry)> = self.pos.drain(..).zip(self.rs.drain(..)).collect();
+        all.extend(other.pos.drain(..).zip(other.rs.drain(..)));
+        all.sort_unstable_by_key(|&(p, _)| p);
+        (self.pos, self.rs) = all.into_iter().unzip();
+        for (k, o) in self.kinds.iter_mut().zip(&mut other.kinds) {
+            k[0] += o[0];
+            k[1] += o[1];
+            *o = [0; 2];
+        }
+        self.admitted |= std::mem::take(&mut other.admitted);
+    }
 }
 
-/// What the entry in a sweep's carry — the queue's logical tail, whose
-/// slot is stale while the sweep runs — is. It decides how the index
-/// follows the entry when it lands on a due position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Carry {
-    /// Due and not yet attempted: attempted where it lands.
-    Due,
-    /// Re-parked by this sweep: where it lands joins the new bucket.
-    Reparked,
-    /// A later bucket's entry: it leaves that bucket's last position.
-    Foreign,
-}
-
-/// The MSHR retry queue: the entries in historical scan order plus the
-/// due-bucket index over them (see module docs).
+/// The MSHR retry queue: its entries live in their due cycles' buckets,
+/// and the historical scan order is the buckets merged by position (see
+/// module docs).
 #[derive(Debug)]
 struct RetryQueue {
-    /// The queue in the historical swap-remove scan's order.
-    q: Vec<Retry>,
-    /// One bucket per due cycle present in `q`, unordered.
+    /// One bucket per due cycle, unordered. During a sweep, the buckets
+    /// not due.
     buckets: Vec<Bucket>,
+    /// Emptied buckets, kept for reuse.
+    spare: Vec<Bucket>,
+    /// Entries in the queue, the carry included.
+    len: usize,
     /// Parked entries per `(core, line)`, by [`slot`] of their due cycle.
     parked: FastMap<(usize, LineAddr), [u32; MSHR_RETRY as usize]>,
     cores: usize,
-    /// The running sweep's due positions, ascending. The first `kept`
-    /// are overwritten with the positions of the entries it re-parked.
-    due: Vec<usize>,
+    /// The running sweep's due entries, ascending by position, in a
+    /// bucket already due `now + MSHR_RETRY`: its counts are those of the
+    /// entries not admitted (so far), and admissions flag it. The first
+    /// `kept` slots hold the entries the sweep re-parked, the slots from
+    /// the walk's index on those it has still to attempt.
+    due: Bucket,
     kept: usize,
-    /// The running sweep's due entries not admitted (so far), per core
-    /// and [`Retry::kind`]: at its end, the refused attempts.
-    tally: Vec<[u32; 2]>,
+    /// The re-parked entry at the queue's last position, held out of
+    /// `due` until the walk passes it a position or the sweep ends.
+    carry: Option<Retry>,
+    /// The bucket already due `now + MSHR_RETRY` when the sweep opened,
+    /// which the re-parked entries join when it closes.
+    join: Option<usize>,
     /// The `(core, line)` pairs the running sweep admitted for cores
     /// that take no refusal test.
     merges: Vec<(usize, LineAddr)>,
@@ -385,36 +423,37 @@ impl RetryQueue {
     fn new(cores: usize) -> Self {
         assert!(cores <= 64, "admitted flags are a 64-bit core bitmap");
         Self {
-            q: Vec::new(),
             buckets: Vec::new(),
+            spare: Vec::new(),
+            len: 0,
             parked: FastMap::default(),
             cores,
-            due: Vec::new(),
+            due: Bucket::new(cores),
             kept: 0,
-            tally: vec![[0; 2]; cores],
+            carry: None,
+            join: None,
             merges: Vec::new(),
         }
     }
 
-    /// The bucket due at `at`, created empty if absent.
-    fn bucket(&mut self, at: Cycle) -> &mut Bucket {
+    /// Parks `r` at the queue's end, due at `at`.
+    fn push(&mut self, at: Cycle, r: Retry) {
         let i = match self.buckets.iter().position(|b| b.at == at) {
             Some(i) => i,
             None => {
-                self.buckets.push(Bucket::new(at, self.cores));
+                let mut b = self.spare.pop().unwrap_or_else(|| Bucket::new(self.cores));
+                b.at = at;
+                b.admitted = 0;
+                self.buckets.push(b);
                 self.buckets.len() - 1
             }
         };
-        &mut self.buckets[i]
-    }
-
-    fn push(&mut self, r: Retry) {
-        let pos = self.q.len();
-        self.q.push(r);
-        let b = self.bucket(r.at);
-        b.pos.push(pos);
+        let b = &mut self.buckets[i];
+        b.pos.push_back(self.len);
+        b.rs.push_back(r);
         b.kinds[r.core][r.kind()] += 1;
-        self.parked.entry((r.core, r.line)).or_default()[slot(r.at)] += 1;
+        self.len += 1;
+        self.parked.entry((r.core, r.line)).or_default()[slot(at)] += 1;
     }
 
     /// Earliest due cycle (`Cycle::MAX` when empty).
@@ -427,13 +466,15 @@ impl RetryQueue {
     }
 
     /// `line` was allocated in, or filled into, `core`'s first level:
-    /// flags every bucket whose slot holds an entry of `core` for it.
+    /// flags every bucket whose slot holds an entry of `core` for it,
+    /// the running sweep's included.
     fn note_admitted(&mut self, core: usize, line: LineAddr) {
-        if self.q.is_empty() {
+        if self.len == 0 {
             return;
         }
         if let Some(n) = self.parked.get(&(core, line)) {
-            for b in &mut self.buckets {
+            let sweep = (!self.due.pos.is_empty()).then_some(&mut self.due);
+            for b in self.buckets.iter_mut().chain(sweep) {
                 if n[slot(b.at)] > 0 {
                     b.admitted |= 1 << core;
                 }
@@ -441,213 +482,200 @@ impl RetryQueue {
         }
     }
 
-    /// Opens a sweep at `now`: takes the due buckets out of the index,
-    /// with their positions, ascending, into `due` and their counts into
-    /// the tally, and returns the bitmaps of the cores with due entries
-    /// and of those cores' admitted flags, and the index of the bucket the
-    /// re-parked entries join, due `now + MSHR_RETRY`. That bucket is in
-    /// the index from here on (a due bucket is reused for it when there is
-    /// none), so that admissions later in the sweep flag it. The due
-    /// entries' parked counts move to its slot (the same slot unless
-    /// ticks were skipped).
-    fn open_sweep(&mut self, now: Cycle) -> (u64, u64, usize) {
+    /// Opens a sweep at `now`: moves the due buckets' entries into
+    /// `due`, merged by position, relabels it due `now + MSHR_RETRY` and
+    /// moves the entries' parked counts to that slot (the same one unless
+    /// ticks were skipped). Returns the bitmaps of the cores with due
+    /// entries and of those cores' admitted flags.
+    fn open_sweep(&mut self, now: Cycle) -> (u64, u64) {
         let at = now + MSHR_RETRY;
-        debug_assert!(self.due.is_empty() && self.tally.iter().all(|t| *t == [0; 2]));
-        let (mut admitted, mut buckets) = (0, 0);
-        let open = self.buckets.iter().any(|b| b.at == at);
-        let (mut reuse, mut dst) = (!open, 0);
-        for (i, b) in self.buckets.iter_mut().enumerate() {
-            if b.at > now {
+        debug_assert!(self.due.pos.is_empty() && self.carry.is_none());
+        let mut admitted = 0;
+        let mut i = 0;
+        while i < self.buckets.len() {
+            if self.buckets[i].at > now {
+                i += 1;
                 continue;
             }
+            let mut b = self.buckets.swap_remove(i);
             admitted |= b.admitted;
             if slot(b.at) != slot(at) {
-                for &p in &b.pos {
-                    let r = &self.q[p];
+                for r in &b.rs {
                     let n = self.parked.get_mut(&(r.core, r.line)).expect("parked");
-                    n[slot(r.at)] -= 1;
+                    n[slot(b.at)] -= 1;
                     n[slot(at)] += 1;
                 }
             }
-            if buckets == 0 {
-                std::mem::swap(&mut self.due, &mut b.pos);
-                std::mem::swap(&mut self.tally, &mut b.kinds);
+            if self.due.pos.is_empty() {
+                std::mem::swap(&mut self.due, &mut b);
             } else {
-                self.due.append(&mut b.pos);
-                for (t, k) in self.tally.iter_mut().zip(&mut b.kinds) {
-                    t[0] += k[0];
-                    t[1] += k[1];
-                }
+                self.due.absorb(&mut b);
             }
-            buckets += 1;
-            if std::mem::take(&mut reuse) {
-                dst = i;
-                b.at = at;
-                b.admitted = 0;
-            }
+            self.spare.push(b);
         }
-        self.kept = 0;
+        self.due.at = at;
+        self.due.admitted = 0;
+        self.join = self.buckets.iter().position(|b| b.at == at);
         let cores = self
-            .tally
+            .due
+            .kinds
             .iter()
             .enumerate()
-            .filter(|(_, t)| **t != [0; 2])
+            .filter(|(_, k)| **k != [0; 2])
             .fold(0, |m, (c, _)| m | 1 << c);
-        if buckets > 1 {
-            self.due.sort_unstable();
-        }
-        if buckets > 1 || open {
-            // Drop the emptied due buckets: all but a reused one are
-            // still due.
-            self.buckets.retain(|b| b.at > now);
-            dst = self.buckets.iter().position(|b| b.at == at).expect("open");
-        }
-        (cores, admitted, dst)
+        (cores, admitted)
     }
 
-    /// Appends `p` to the re-parked entries' positions, which overwrite
-    /// the due positions the walk has passed.
-    fn keep(&mut self, p: usize) {
-        self.due[self.kept] = p;
-        self.kept += 1;
-    }
-
-    /// Takes the tail entry into the carry (its slot goes stale): `None`
-    /// when the queue is empty.
-    fn take_carry(&mut self, now: Cycle) -> Option<(Retry, Carry)> {
-        let last = self.q.len().checked_sub(1)?;
-        let r = self.q[last];
-        let class = if r.at <= now {
-            Carry::Due
-        } else if self.kept > 0 && self.due[self.kept - 1] == last {
-            self.kept -= 1;
-            Carry::Reparked
+    /// Re-parks every due entry, all refused: the scan keeps their order
+    /// and only their positions change (see module docs), so no due
+    /// entry moves unless the tail is one. Returns how many entries were
+    /// re-parked.
+    fn repark_all(&mut self) -> usize {
+        let last = self.len - 1;
+        let d = &mut self.due;
+        if d.pos.back() == Some(&last) {
+            // e₁, eₖ, e₂, …, eₖ₋₁ on the same positions.
+            if d.rs.len() > 1 {
+                let t = d.rs.pop_back().expect("due entries");
+                d.rs.insert(1, t);
+            }
         } else {
-            Carry::Foreign
-        };
-        Some((r, class))
+            // e₁…eₖ move to p₂…pₖ and the last position; the tail, a
+            // later bucket's entry, lands on p₁.
+            let p = d.pos.pop_front().expect("due entries");
+            d.pos.push_back(last);
+            let b = self.tail_bucket();
+            let t = self.buckets[b].pop(last);
+            self.buckets[b].insert(p, t);
+        }
+        self.kept = self.due.rs.len();
+        self.kept
     }
 
-    /// Re-parks at `at` the run of entries at the due positions from
-    /// `due[i]` on whose cores are in `verdict` (every due core when
-    /// `all`), while the carry holds an entry this sweep re-parked: each
-    /// entry swaps places with the carry, the closed-form rotation. Stops
-    /// before the tail and returns the run's length.
-    fn repark_run(
-        &mut self,
-        i: usize,
-        verdict: u64,
-        all: bool,
-        carry: &mut Retry,
-        at: Cycle,
-    ) -> usize {
-        let last = self.q.len() - 1;
-        // Only the last few positions can be at or past the tail.
-        let mut end = self.due.len();
-        while end > i && self.due[end - 1] >= last {
-            end -= 1;
-        }
-        let mut c = *carry;
-        let mut j = i;
-        while j < end {
-            let p = self.due[j];
-            if !all && verdict >> self.q[p].core & 1 == 0 {
-                break;
-            }
-            let r = std::mem::replace(&mut self.q[p], c);
-            c = Retry { at, ..r };
-            self.due[self.kept + j - i] = p;
-            j += 1;
-        }
-        *carry = c;
-        self.kept += j - i;
-        j - i
+    /// The bucket not due whose last entry is the queue's tail.
+    fn tail_bucket(&self) -> usize {
+        let last = self.len - 1;
+        self.buckets
+            .iter()
+            .position(|b| b.pos.back() == Some(&last))
+            .expect("a bucket holds the tail")
     }
 
-    /// Writes the carry `r` to position `p`, moving its index entry from
-    /// the tail to `p`.
-    fn land(&mut self, p: usize, r: Retry, class: Carry) {
-        match class {
-            Carry::Due => {}
-            Carry::Reparked => self.keep(p),
-            Carry::Foreign => {
-                let last = self.q.len() - 1;
-                let b = self.bucket(r.at);
-                let popped = b.pos.pop();
-                debug_assert_eq!(popped, Some(last), "the tail is its bucket's last entry");
-                let i = b.pos.partition_point(|&x| x < p);
-                b.pos.insert(i, p);
-            }
+    /// The scan's swap-remove at the position of due entry `i`, taken
+    /// out and not the tail: the tail lands there. It is the carry, the
+    /// last due entry or a later bucket's last entry (a kept entry's
+    /// position is below every due one's, so below the tail's). A due
+    /// tail is then the entry at `i`, still to attempt, and this returns
+    /// true.
+    fn land_tail(&mut self, i: usize) -> bool {
+        let (p, last) = (self.due.pos[i], self.len - 1);
+        if let Some(c) = self.carry.take() {
+            self.due.pos[self.kept] = p;
+            self.due.rs[self.kept] = c;
+            self.kept += 1;
+            false
+        } else if self.due.pos.back() == Some(&last) {
+            self.due.pos.pop_back();
+            self.due.rs[i] = self.due.rs.pop_back().expect("due entries");
+            true
+        } else {
+            let b = self.tail_bucket();
+            let t = self.buckets[b].pop(last);
+            self.buckets[b].insert(p, t);
+            false
         }
-        self.q[p] = r;
     }
 
-    /// Drops admitted entry `r`, due before `at`, from the parked counts
-    /// (in the slot [`RetryQueue::open_sweep`] moved them to) and the
-    /// tally.
-    fn unpark(&mut self, r: &Retry, at: Cycle) {
-        self.tally[r.core][r.kind()] -= 1;
+    /// Drops admitted due entry `r` from the parked counts (in the slot
+    /// [`RetryQueue::open_sweep`] moved them to) and the due counts.
+    fn unpark(&mut self, r: &Retry) {
+        self.due.kinds[r.core][r.kind()] -= 1;
         let key = (r.core, r.line);
         let n = self.parked.get_mut(&key).expect("parked");
-        n[slot(at)] -= 1;
+        n[slot(self.due.at)] -= 1;
         if *n == [0; MSHR_RETRY as usize] {
             self.parked.remove(&key);
         }
     }
 
-    /// Closes a sweep: writes the carry back to the tail and moves the
-    /// re-parked entries' positions and the tally into bucket `dst`,
-    /// leaving `due` empty and the tally zero.
-    fn close_sweep(&mut self, carry: (Retry, Carry), dst: usize) {
-        if let Some(last) = self.q.len().checked_sub(1) {
-            let (r, class) = carry;
-            self.q[last] = r;
-            debug_assert_ne!(class, Carry::Due, "a due retry left unattempted");
-            if class == Carry::Reparked {
-                // Each kept position holds a distinct refused due entry,
-                // so one due position is still free for the carry.
-                self.keep(last);
-            }
+    /// Closes a sweep: the kept entries and the carry, at the last
+    /// position, are the re-parked bucket; it joins the bucket already
+    /// due at its cycle, if any, or takes its own place.
+    fn close_sweep(&mut self) {
+        let d = &mut self.due;
+        d.pos.truncate(self.kept);
+        d.rs.truncate(self.kept);
+        if let Some(c) = self.carry.take() {
+            d.pos.push_back(self.len - 1);
+            d.rs.push_back(c);
         }
-        self.due.truncate(self.kept);
+        self.kept = 0;
         self.merges.clear();
-        let b = &mut self.buckets[dst];
-        if b.pos.is_empty() {
-            // A reused due bucket: empty, with zero counts.
-            std::mem::swap(&mut b.pos, &mut self.due);
-            std::mem::swap(&mut b.kinds, &mut self.tally);
+        if d.pos.is_empty() {
+            debug_assert!(d.kinds.iter().all(|k| *k == [0; 2]));
+        } else if let Some(j) = self.join {
+            self.buckets[j].absorb(&mut self.due);
         } else {
-            b.pos.append(&mut self.due);
-            b.pos.sort_unstable();
-            for (k, t) in b.kinds.iter_mut().zip(&mut self.tally) {
-                k[0] += t[0];
-                k[1] += t[1];
-                *t = [0; 2];
-            }
-        }
-        if b.pos.is_empty() {
-            self.buckets.swap_remove(dst);
+            let spare = self.spare.pop().unwrap_or_else(|| Bucket::new(self.cores));
+            self.buckets.push(std::mem::replace(&mut self.due, spare));
         }
     }
 
-    /// Panics unless the incremental index equals one built from scratch
-    /// by re-pushing the queue (admitted flags aside).
-    fn check_index(&self) {
-        let mut fresh = RetryQueue::new(self.cores);
-        for &r in &self.q {
-            fresh.push(r);
+    /// Panics unless the buckets hold a queue: distinct due cycles, the
+    /// positions across all buckets exactly `0..len` and ascending within
+    /// each, and the per-bucket counts and parked counts equal to a
+    /// recount; no sweep open, and the spare buckets empty.
+    fn check(&self) {
+        assert!(
+            self.due.pos.is_empty() && self.due.rs.is_empty() && self.carry.is_none(),
+            "retry sweep left open"
+        );
+        let empty = |b: &Bucket| b.pos.is_empty() && b.kinds.iter().all(|k| *k == [0; 2]);
+        assert!(
+            empty(&self.due) && self.spare.iter().all(empty),
+            "spare not empty"
+        );
+        let mut all: Vec<usize> = Vec::with_capacity(self.len);
+        let mut parked: FastMap<_, [u32; MSHR_RETRY as usize]> = FastMap::default();
+        for (i, b) in self.buckets.iter().enumerate() {
+            assert!(!b.pos.is_empty(), "empty bucket due at {}", b.at);
+            assert_eq!(b.pos.len(), b.rs.len(), "bucket due at {}", b.at);
+            assert!(
+                self.buckets[..i].iter().all(|o| o.at != b.at),
+                "two buckets due at {}",
+                b.at
+            );
+            assert!(
+                b.pos.iter().zip(b.pos.iter().skip(1)).all(|(x, y)| x < y),
+                "positions not ascending in the bucket due at {}",
+                b.at
+            );
+            let mut kinds = vec![[0; 2]; self.cores];
+            for r in &b.rs {
+                kinds[r.core][r.kind()] += 1;
+                parked.entry((r.core, r.line)).or_default()[slot(b.at)] += 1;
+            }
+            assert_eq!(b.kinds, kinds, "counts of the bucket due at {}", b.at);
+            all.extend(&b.pos);
         }
-        let index = |q: &RetryQueue| {
-            let mut v: Vec<_> = q
-                .buckets
-                .iter()
-                .map(|b| (b.at, b.pos.clone(), b.kinds.clone()))
-                .collect();
-            v.sort_by_key(|b| b.0);
-            v
-        };
-        assert_eq!(index(self), index(&fresh), "retry index diverged");
-        assert_eq!(self.parked, fresh.parked, "parked counts diverged");
+        all.sort_unstable();
+        assert!(all.into_iter().eq(0..self.len), "positions are not 0..len");
+        assert_eq!(self.parked, parked, "parked counts diverged");
+    }
+
+    /// The queue in the historical scan's order: the buckets' entries
+    /// merged by position, each with its due cycle.
+    #[cfg(test)]
+    fn order(&self) -> Vec<(Cycle, Retry)> {
+        let mut q = vec![None; self.len];
+        for b in &self.buckets {
+            for (&p, &r) in b.pos.iter().zip(&b.rs) {
+                q[p] = Some((b.at, r));
+            }
+        }
+        q.into_iter()
+            .map(|e| e.expect("a hole in the queue"))
+            .collect()
     }
 }
 
@@ -670,13 +698,13 @@ trait FirstLevel {
     fn admit(&mut self, r: Retry, now: Cycle);
 }
 
-/// Sweeps the retries due at `now`: one walk over their positions, in
-/// order, with the historical scan's outcome (see module docs). Returns
-/// how many due entries were refused without the exact refusal test.
+/// Sweeps the retries due at `now` with the historical scan's outcome
+/// (see module docs): in one step when every due entry is refused
+/// untested, else one walk over them in queue order. Returns how many
+/// due entries were refused without the exact refusal test.
 fn sweep_retries<F: FirstLevel>(f: &mut F, now: Cycle) -> usize {
-    let at = now + MSHR_RETRY;
     let replay = f.replay_each();
-    let (cores, flagged, dst) = f.retries().open_sweep(now);
+    let (cores, flagged) = f.retries().open_sweep(now);
     // A core flagged in a due bucket takes the exact refusal test. Any
     // other core's due lines are in neither its MSHR table nor its
     // array, and only its own admissions change either during the walk:
@@ -687,98 +715,76 @@ fn sweep_retries<F: FirstLevel>(f: &mut F, now: Cycle) -> usize {
         .fold(0u64, |m, c| m | 1 << c);
     let mut merging = 0u64;
     if cfg!(debug_assertions) {
-        let q = f.retries();
-        let due: Vec<Retry> = q.due.iter().map(|&p| q.q[p]).collect();
+        let due: Vec<Retry> = f.retries().due.rs.iter().copied().collect();
         for r in due.iter().filter(|r| full >> r.core & 1 == 1) {
             assert!(f.refuses(r), "verdict on an admissible retry");
         }
     }
-    let mut skipped = 0;
-    let (mut carry, mut class) = f.retries().take_carry(now).expect("due retries");
-    let mut i = 0;
-    while i < f.retries().due.len() {
-        if class == Carry::Reparked && !replay {
-            // The cores that refuse every due entry of theirs untested.
-            let verdict = full & !merging;
-            let all = cores & !verdict == 0;
-            let run = f.retries().repark_run(i, verdict, all, &mut carry, at);
-            skipped += run;
-            i += run;
-            if i == f.retries().due.len() {
-                break;
-            }
-        }
-        // One attempt at `p`, the scan's swap-remove. The position is
-        // attempted again when a due carry lands on it.
-        let q = f.retries();
-        let p = q.due[i];
-        let n = q.q.len();
-        if p >= n {
-            break;
-        }
-        let tail = p + 1 == n;
-        let r = if tail { carry } else { q.q[p] };
-        if r.at > now {
-            i += 1;
-            continue;
-        }
-        let core = 1u64 << r.core;
-        let tested = flagged & core != 0;
-        let refuses = if tested {
-            f.refuses(&r)
-        } else {
-            full & core != 0 && (merging & core == 0 || !q.merges.contains(&(r.core, r.line)))
-        };
-        debug_assert_eq!(refuses, f.refuses(&r), "refusal rule on {r:?}");
-        let landed = class;
-        if refuses {
-            skipped += usize::from(!tested);
-            if replay {
-                f.refused(&r, now);
-            }
+    let skipped = if cores & !full == 0 && !replay {
+        f.retries().repark_all()
+    } else {
+        let mut skipped = 0;
+        let mut i = 0;
+        while i < f.retries().due.pos.len() {
+            // One attempt at the scan's next due position: its
+            // swap-remove, then a push if refused. A due tail landing
+            // there is attempted next at the same position.
             let q = f.retries();
-            if !tail {
-                q.land(p, carry, class);
-            }
-            (carry, class) = (Retry { at, ..r }, Carry::Reparked);
-        } else {
+            let (p, r) = (q.due.pos[i], q.due.rs[i]);
+            let tail = p + 1 == q.len;
+            let core = 1u64 << r.core;
+            let tested = flagged & core != 0;
+            let refuses = if tested {
+                f.refuses(&r)
+            } else {
+                full & core != 0 && (merging & core == 0 || !q.merges.contains(&(r.core, r.line)))
+            };
+            debug_assert_eq!(refuses, f.refuses(&r), "refusal rule on {r:?}");
             let q = f.retries();
-            q.unpark(&r, at);
-            if !tail {
-                q.land(p, carry, class);
+            let stays = if tail {
+                q.due.pos.pop_back();
+                q.due.rs.pop_back();
+                false
+            } else {
+                q.land_tail(i)
+            };
+            if !stays {
+                i += 1;
             }
-            q.q.pop();
-            if !tested {
-                q.merges.push((r.core, r.line));
-            }
-            let next = q.take_carry(now);
-            f.admit(r, now);
-            if !tested {
-                merging |= core;
-                if f.mshr_full(r.core) {
-                    full |= core;
+            if refuses {
+                q.carry = Some(r);
+                skipped += usize::from(!tested);
+                if replay {
+                    f.refused(&r, now);
+                }
+            } else {
+                q.unpark(&r);
+                q.len -= 1;
+                if !tested {
+                    q.merges.push((r.core, r.line));
+                }
+                f.admit(r, now);
+                if !tested {
+                    merging |= core;
+                    if f.mshr_full(r.core) {
+                        full |= core;
+                    }
                 }
             }
-            match next {
-                Some(next) => (carry, class) = next,
-                None => break,
-            }
         }
-        if tail || landed != Carry::Due {
-            i += 1;
-        }
-    }
+        skipped
+    };
     if !replay {
         for c in sharer_bits(cores) {
-            let kinds = f.retries().tally[c];
+            let kinds = f.retries().due.kinds[c];
             if kinds != [0; 2] {
                 f.refused_many(c, kinds);
             }
         }
     }
-    f.retries().close_sweep((carry, class), dst);
+    f.retries().close_sweep();
     if cfg!(debug_assertions) {
-        f.retries().check_index();
+        f.retries().check();
     }
     skipped
 }
@@ -1396,12 +1402,7 @@ impl Hierarchy {
                 // charged to the power model).
                 let at = now + MSHR_RETRY;
                 self.retry_min = self.retry_min.min(at);
-                self.retries.push(Retry {
-                    at,
-                    core,
-                    line,
-                    waiter,
-                });
+                self.retries.push(at, Retry { core, line, waiter });
             }
         }
     }
@@ -2326,11 +2327,10 @@ impl FirstLevel for Hierarchy {
     }
 
     fn admit(&mut self, r: Retry, now: Cycle) {
-        let parked = self.retries.q.len();
+        let parked = self.retries.len;
         self.access_first(r.core, r.line, r.waiter, now);
         debug_assert_eq!(
-            self.retries.q.len(),
-            parked,
+            self.retries.len, parked,
             "refusal test admitted a refused retry"
         );
     }
@@ -2541,7 +2541,8 @@ mod tests {
     /// due entry re-attempted in full.
     struct Historical {
         l1: ModelL1,
-        q: Vec<Retry>,
+        /// Entries with their due cycles.
+        q: Vec<(Cycle, Retry)>,
         cases: Cases,
     }
 
@@ -2549,10 +2550,7 @@ mod tests {
         fn access(&mut self, r: Retry, now: Cycle) {
             if self.l1.refuses(r.core, r.line) {
                 self.l1.refused[r.core][r.kind()] += 1;
-                self.q.push(Retry {
-                    at: now + MSHR_RETRY,
-                    ..r
-                });
+                self.q.push((now + MSHR_RETRY, r));
             } else {
                 self.l1.admit(r.core, r.line, r.waiter);
             }
@@ -2564,21 +2562,21 @@ mod tests {
             let mut runs = 0;
             let mut i = 0;
             while i < self.q.len() {
-                if self.q[i].at <= now {
+                if self.q[i].0 <= now {
                     let tail = i + 1 == self.q.len();
-                    let r = self.q.swap_remove(i);
+                    let (_, r) = self.q.swap_remove(i);
                     let c = &mut self.cases;
                     if self.l1.refuses(r.core, r.line) {
                         reparked.insert(waiter_id(r.waiter));
                         c.admit_between_refusals += usize::from(runs == 2);
                         runs = 1;
                     } else {
-                        if self.q.get(i).is_some_and(|t| t.at <= now) {
+                        if self.q.get(i).is_some_and(|t| t.0 <= now) {
                             c.pulled_due_tail += 1;
                         }
                         c.admitted_tail += usize::from(tail);
-                        if let Some(t) = self.q.last() {
-                            let foreign = t.at > now && !reparked.contains(&waiter_id(t.waiter));
+                        if let Some(&(at, t)) = self.q.last() {
+                            let foreign = at > now && !reparked.contains(&waiter_id(t.waiter));
                             c.foreign_after_admit += usize::from(foreign);
                         }
                         runs = if runs == 0 { 0 } else { 2 };
@@ -2618,10 +2616,7 @@ mod tests {
         fn access(&mut self, r: Retry, now: Cycle) {
             if self.l1.refuses(r.core, r.line) {
                 self.l1.refused[r.core][r.kind()] += 1;
-                self.retries.push(Retry {
-                    at: now + MSHR_RETRY,
-                    ..r
-                });
+                self.retries.push(now + MSHR_RETRY, r);
             } else if self.l1.admit(r.core, r.line, r.waiter) {
                 self.retries.note_admitted(r.core, r.line);
             }
@@ -2660,23 +2655,21 @@ mod tests {
             }
         }
         fn admit(&mut self, r: Retry, now: Cycle) {
-            let parked = self.retries.q.len();
+            let parked = self.retries.len;
             self.access(r, now);
-            assert_eq!(self.retries.q.len(), parked, "admitted retry re-parked");
+            assert_eq!(self.retries.len, parked, "admitted retry re-parked");
         }
     }
 
-    fn queue_order(q: &[Retry]) -> Vec<(Cycle, usize, u64, u64)> {
+    fn queue_order(q: &[(Cycle, Retry)]) -> Vec<(Cycle, usize, u64, u64)> {
         q.iter()
-            .map(|r| (r.at, r.core, r.line.raw(), waiter_id(r.waiter)))
+            .map(|&(at, r)| (at, r.core, r.line.raw(), waiter_id(r.waiter)))
             .collect()
     }
 
-    /// A load of `core` for `line`, identified by `token`, arriving at
-    /// `at`.
-    fn retry(core: usize, line: u64, token: u64, at: Cycle) -> Retry {
+    /// A load of `core` for `line`, identified by `token`.
+    fn retry(core: usize, line: u64, token: u64) -> Retry {
         Retry {
-            at,
             core,
             line: LineAddr::new(line),
             waiter: Waiter::Load { token, pc: 0 },
@@ -2695,12 +2688,13 @@ mod tests {
     fn retry_sweep_matches_the_historical_scan() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         const CORES: usize = 4;
-        // Coverage: the closed form, a lone due bucket rotated whole with
-        // every entry refused untested, with k = 1 and with the tail in
-        // it; an admission pulling a due tail forward; a sweep with two
-        // buckets due; and the walk's turns counted in `Cases`.
-        let (mut k1, mut tail_due, mut pulled, mut two_due) = (0, 0, 0, 0);
-        let mut closed = 0;
+        // Coverage: the due entries re-parked whole, every one refused
+        // untested, with the tail a later bucket's entry that lands
+        // mid-bucket, with the tail among them, and with k = 1; an
+        // admission pulling a due tail forward; a sweep with two buckets
+        // due; and the walk's turns counted in `Cases`.
+        let (mut foreign_mid, mut tail_due, mut k1) = (0, 0, 0);
+        let (mut pulled, mut two_due) = (0, 0);
         let mut cases = Cases::default();
         let mut replayed = 0;
         for seed in 0..24u64 {
@@ -2723,7 +2717,6 @@ mod tests {
                         Waiter::Load { token: id, pc: 0 }
                     };
                     Retry {
-                        at: now,
                         core: rng.gen_range(0..CORES),
                         line: LineAddr::new(rng.gen_range(0..24u64)),
                         waiter,
@@ -2738,20 +2731,30 @@ mod tests {
                     let due: Vec<&Bucket> =
                         new.retries.buckets.iter().filter(|b| b.at <= now).collect();
                     two_due += usize::from(due.len() >= 2);
-                    // A lone due bucket: due now, with none yet at
-                    // now + MSHR_RETRY for its entries to join.
-                    let next = new.retries.buckets.iter().any(|b| b.at == now + MSHR_RETRY);
-                    let sole = (due.len() == 1 && due[0].at == now && !next).then(|| {
-                        let pos = &due[0].pos;
-                        (pos.len(), pos.last() == Some(&(new.retries.q.len() - 1)))
+                    // Where the tail is, should the sweep re-park every
+                    // due entry: among them, or in a later bucket with
+                    // entries on both sides of the first due position.
+                    let k: usize = due.iter().map(|b| b.pos.len()).sum();
+                    let whole = (k > 0).then(|| {
+                        let last = new.retries.len - 1;
+                        let first = due.iter().map(|b| b.pos[0]).min().expect("due");
+                        let holds = |b: &Bucket| b.pos.back() == Some(&last);
+                        let mid = new.retries.buckets.iter().any(|b| {
+                            b.at > now
+                                && holds(b)
+                                && b.pos[0] < first
+                                && b.pos.range(..b.pos.len() - 1).any(|&x| x > first)
+                        });
+                        (k, due.iter().any(|b| holds(b)), mid)
                     });
                     old.sweep(now);
                     if new.retries.min_at() <= now {
                         let untested = sweep_retries(&mut new, now);
-                        if let Some((k, tail)) = sole.filter(|&(k, _)| untested == k) {
-                            closed += 1;
-                            k1 += usize::from(k == 1);
+                        let bulk = whole.filter(|&(k, ..)| untested == k && !new.replay);
+                        if let Some((k, tail, mid)) = bulk {
+                            foreign_mid += usize::from(mid);
                             tail_due += usize::from(tail);
+                            k1 += usize::from(k == 1);
                         }
                     }
                 }
@@ -2786,11 +2789,11 @@ mod tests {
                     "seed {seed} cycle {now}: refusals"
                 );
                 assert_eq!(
-                    queue_order(&new.retries.q),
+                    queue_order(&new.retries.order()),
                     queue_order(&old.q),
                     "seed {seed} cycle {now}: queue order"
                 );
-                new.retries.check_index();
+                new.retries.check();
             }
             pulled += old.cases.pulled_due_tail;
             cases.admitted_tail += old.cases.admitted_tail;
@@ -2799,8 +2802,8 @@ mod tests {
             replayed += new.replayed;
         }
         assert!(
-            closed > 0 && k1 > 0 && tail_due > 0,
-            "closed form {closed}, k=1 {k1}, tail due {tail_due}"
+            foreign_mid > 0 && tail_due > 0 && k1 > 0,
+            "whole re-park: foreign tail mid-bucket {foreign_mid}, tail due {tail_due}, k=1 {k1}"
         );
         assert!(
             pulled > 0 && two_due > 0,
@@ -2828,18 +2831,18 @@ mod tests {
         assert_eq!(new.l1.admitted, old.l1.admitted, "admissions");
         assert_eq!(new.l1.refused, old.l1.refused, "refusals");
         assert_eq!(
-            queue_order(&new.retries.q),
+            queue_order(&new.retries.order()),
             queue_order(&old.q),
             "queue order"
         );
-        new.retries.check_index();
+        new.retries.check();
         untested
     }
 
     fn historical(new: &Indexed) -> Historical {
         Historical {
             l1: new.l1.clone(),
-            q: new.retries.q.clone(),
+            q: new.retries.order(),
             cases: Cases::default(),
         }
     }
@@ -2850,14 +2853,14 @@ mod tests {
     #[test]
     fn a_core_that_fills_its_table_in_the_sweep_still_merges() {
         let mut new = Indexed::new(&[0, 0], false);
-        new.access(retry(0, 7, 1, 0), 0);
-        new.access(retry(0, 7, 2, 0), 0);
+        new.access(retry(0, 7, 1), 0);
+        new.access(retry(0, 7, 2), 0);
         new.fill(0, LineAddr::new(9), 1);
         let mut old = historical(&new);
         assert_eq!(sweep_both(&mut new, &mut old, MSHR_RETRY), 0);
         assert_eq!(new.l1.admitted, [1, 2], "allocation, then merge");
         assert_eq!(new.l1.free[0], 0, "one register for both");
-        assert!(new.retries.q.is_empty() && new.retries.buckets.is_empty());
+        assert!(new.retries.len == 0 && new.retries.buckets.is_empty());
     }
 
     /// A core whose admitted flag is set is tested entry by entry, even
@@ -2865,11 +2868,11 @@ mod tests {
     #[test]
     fn an_admitted_flag_forces_the_test_on_a_full_core() {
         let mut new = Indexed::new(&[0, 0], false);
-        new.access(retry(0, 7, 1, 0), 0);
-        new.access(retry(0, 8, 2, 0), 0);
+        new.access(retry(0, 7, 1), 0);
+        new.access(retry(0, 8, 2), 0);
         new.fill(0, LineAddr::new(9), 1);
         // A fresh request for line 7 takes the last register.
-        new.access(retry(0, 7, 3, 1), 1);
+        new.access(retry(0, 7, 3), 1);
         assert!(new.mshr_full(0));
         assert_eq!(
             new.retries.buckets[0].admitted, 1,
@@ -2888,7 +2891,7 @@ mod tests {
     fn an_admission_leaves_other_cores_verdicts_in_force() {
         let mut new = Indexed::new(&[0, 0], false);
         for (core, line, token) in [(1, 3, 1), (0, 5, 2), (1, 4, 3), (1, 6, 4), (0, 5, 5)] {
-            new.access(retry(core, line, token, 0), 0);
+            new.access(retry(core, line, token), 0);
         }
         new.fill(0, LineAddr::new(9), 1);
         let mut old = historical(&new);
@@ -2900,6 +2903,6 @@ mod tests {
         // The due tail is pulled forward to the first position.
         assert_eq!(new.l1.admitted, [5, 2], "core 0 allocates, then merges");
         assert_eq!(new.l1.refused[1], [6, 0], "three parked, three refused");
-        assert_eq!(new.retries.q.len(), 3);
+        assert_eq!(new.retries.len, 3);
     }
 }

@@ -408,13 +408,15 @@ fn coherent_flood(probe: bool) -> (Vec<Completion>, String) {
     (done, stats)
 }
 
-/// The retry sweep's closed form (probe off: a due bucket whose every
-/// entry is provably refused is re-parked without visiting it) and its
-/// one-by-one scan (probe on: every refusal is replayed) leave the same
-/// machine behind: the same completions in the same cycles and order,
-/// and the same counters at every level and core.
+/// The retry sweep's bulk refusals (probe off: entries whose core is
+/// known to refuse them are re-parked untested, a whole due bucket in
+/// one step, and their refused attempts charged per core in one call)
+/// and its one-by-one replay (probe on: every refusal is attempted and
+/// charged on its own) leave the same machine behind: the same
+/// completions in the same cycles and order, and the same counters at
+/// every level and core.
 #[test]
-fn retry_sweep_closed_form_matches_one_by_one_replay() {
+fn retry_sweep_bulk_refusal_matches_one_by_one_replay() {
     let (off, on) = (coherent_flood(false), coherent_flood(true));
     assert_eq!(off.0, on.0, "completion order differs");
     assert_eq!(off.1, on.1, "counters differ");
