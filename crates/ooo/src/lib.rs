@@ -681,8 +681,7 @@ impl OooCore {
 
         let mut mispredicted = false;
         if let Some(b) = instr.branch {
-            let predicted = self.bp.predict(instr.pc);
-            self.bp.train(instr.pc, b.taken, predicted);
+            let predicted = self.bp.predict_train(instr.pc, b.taken);
             if predicted != b.taken {
                 self.stats.branch_mispredicts += 1;
                 self.stats.flushes += 1;

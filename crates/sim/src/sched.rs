@@ -8,16 +8,31 @@
 //! retry queue, pending page walks, and DRAM channel completions;
 //! `Core::next_work_at` covers both pipeline models) into a
 //! [`CalendarQueue`], and the runner advances straight to the minimum
-//! of the published times, attributing the skipped cycles to the cores'
-//! stall counters in bulk — exactly like the tick loop's idle-cycle
+//! of the published times — exactly like the tick loop's idle-cycle
 //! fast-forward, but additionally skipping the per-cycle work of
 //! components that are idle at a cycle where *some other* component is
 //! busy. That skip is stat-neutral by the same contract fast-forward
 //! relies on: ticking a core strictly before its `next_work_at` is
 //! equivalent to `skip_stalled(1)`, and ticking the hierarchy strictly
-//! before its `next_event_at` is a no-op. Cycle-exactness of the two
-//! models is pinned by the golden digests and by
-//! `tests/sched_equivalence.rs`.
+//! before its `next_event_at` is a no-op.
+//!
+//! A step of the calendar loop calls only the due components. Each
+//! core's `next_work_at` is cached and re-read only after its own tick
+//! or a load delivered to it, the only calls that change a core. Cycles
+//! a core is not ticked at, whether skipped by the jump or passed while
+//! other components work, are counted per core, not per step: the
+//! runner keeps the first cycle each core has not yet been charged for
+//! and charges the whole idle span in one `skip_stalled` call right
+//! before the core's next tick or delivery, the warmup statistics reset,
+//! a probe interval snapshot, or the end of the run. The core's state is
+//! frozen over the span, so the one call counts what a `skip_stalled(1)`
+//! per cycle would have. The tick loop keeps its own accounting and
+//! never owes a core anything. Cycle-exactness of the two models is
+//! pinned by the golden digests and by `tests/sched_equivalence.rs`,
+//! which compares every counter of the two models, stall counters
+//! included: a stall cycle charged twice or never changes no cycle of
+//! the trajectory, so that test is what catches a slip in the per-core
+//! counting.
 
 use hermes_types::Cycle;
 

@@ -29,6 +29,63 @@ pub struct System {
     finished_buf: Vec<(usize, u64, ServedBy)>,
 }
 
+/// The calendar loop's state for one [`System::run`]: the
+/// [`CalendarQueue`] plus each source's cached wake-up time and each
+/// core's stall-accounting frontier.
+///
+/// Source 0 is the hierarchy (event heap, retry queue, page walks, DRAM
+/// channels), sources 1..=n are the cores. A core's state changes only
+/// through its own tick or a `finish_load` to it, so its `next_work_at`
+/// is recomputed only then. A core that is not ticked at a cycle is
+/// owed that cycle as a stall: `accounted[i]` is core `i`'s first cycle
+/// not yet counted, and [`Calendar::catch_up`] counts the owed span in
+/// one `skip_stalled` call before anything reads or changes the core.
+/// Over that span the core's state is frozen, so one bulk call counts
+/// exactly what per-cycle `skip_stalled(1)` calls would have.
+struct Calendar {
+    queue: CalendarQueue,
+    /// The hierarchy's `next_event_at` after the last step.
+    hier_next: Cycle,
+    /// Each core's `next_work_at` after its last tick or delivery.
+    next_work: Vec<Cycle>,
+    /// Each core's first cycle whose stall is not yet counted.
+    accounted: Vec<Cycle>,
+}
+
+impl Calendar {
+    /// Publishes every source's current wake-up time; every core is
+    /// accounted up to `now`.
+    fn new(hierarchy: &Hierarchy, cores: &[AnyCore], now: Cycle) -> Self {
+        let mut cal = Self {
+            queue: CalendarQueue::new(1 + cores.len()),
+            hier_next: hierarchy.next_event_at(),
+            next_work: vec![Cycle::MAX; cores.len()],
+            accounted: vec![now; cores.len()],
+        };
+        cal.queue.publish(0, cal.hier_next);
+        for (i, core) in cores.iter().enumerate() {
+            cal.refresh(i, core);
+        }
+        cal
+    }
+
+    /// Re-reads and publishes core `i`'s wake-up time after its state
+    /// changed.
+    #[inline]
+    fn refresh(&mut self, i: usize, core: &AnyCore) {
+        let at = core.next_work_at();
+        self.next_work[i] = at;
+        self.queue.publish(1 + i, at);
+    }
+
+    /// Counts core `i`'s owed stall cycles up to (excluding) `to`.
+    #[inline]
+    fn catch_up(&mut self, i: usize, core: &mut AnyCore, to: Cycle) {
+        core.skip_stalled(to - self.accounted[i]);
+        self.accounted[i] = to;
+    }
+}
+
 impl System {
     /// Builds a system; workload `i % workloads.len()` runs on core `i`.
     ///
@@ -112,14 +169,17 @@ impl System {
     ///
     /// `cal` is `Some` exactly in calendar mode. The calendar iteration
     /// simulates the identical trajectory to `fast_forward_jump` +
-    /// [`System::step`], but ticks only due components: ticking the
+    /// [`System::step`], but touches only due components: ticking the
     /// hierarchy strictly before its `next_event_at` is a no-op, and
     /// ticking a core strictly before its `next_work_at` is equivalent
     /// to `skip_stalled(1)` (the same contract idle-cycle fast-forward
-    /// is built on), so skipping them is stat-neutral. Due-ness of each
-    /// core is evaluated *after* this cycle's load completions are
-    /// delivered, since a delivery can wake a core at this very cycle.
-    fn advance_and_step(&mut self, cal: Option<&mut CalendarQueue>) {
+    /// is built on). A core that is not due is not called at all; its
+    /// idle cycles are owed and counted in one `skip_stalled` call
+    /// ([`Calendar::catch_up`]) right before anything next reads or
+    /// changes it. Due-ness of each core is evaluated *after* this
+    /// cycle's load completions are delivered, since a delivery can wake
+    /// a core at this very cycle.
+    fn advance_and_step(&mut self, cal: Option<&mut Calendar>) {
         let Some(cal) = cal else {
             self.fast_forward_jump();
             self.step();
@@ -128,36 +188,34 @@ impl System {
         // Jump the gap to the earliest published event (gated on the
         // same knob as the tick loop's fast-forward; with it off the
         // loop still steps every cycle, only skipping idle components).
-        let target = cal.next_due(self.cycle);
+        // The skipped cycles are owed by every core, counted lazily.
+        let target = cal.queue.next_due(self.cycle);
         if self.fast_forward && target != Cycle::MAX && target > self.cycle {
-            let skipped = target - self.cycle;
-            for core in &mut self.cores {
-                core.skip_stalled(skipped);
-            }
             self.cycle = target;
         }
         let now = self.cycle;
-        if self.hierarchy.next_event_at() <= now {
+        if cal.hier_next <= now {
             self.hierarchy.tick(now);
         }
         self.hierarchy.drain_finished(&mut self.finished_buf);
         let completions = std::mem::take(&mut self.finished_buf);
         for &(core, token, served) in &completions {
+            cal.catch_up(core, &mut self.cores[core], now);
             self.cores[core].finish_load(token, now, served);
+            cal.refresh(core, &self.cores[core]);
         }
         self.finished_buf = completions;
-        for core in &mut self.cores {
-            if core.next_work_at() <= now {
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            if cal.next_work[i] <= now {
+                cal.catch_up(i, core, now);
                 core.tick(now, &mut self.hierarchy);
-            } else {
-                core.skip_stalled(1);
+                cal.accounted[i] = now + 1;
+                cal.refresh(i, core);
             }
         }
         self.cycle += 1;
-        cal.publish(0, self.hierarchy.next_event_at());
-        for (i, core) in self.cores.iter().enumerate() {
-            cal.publish(1 + i, core.next_work_at());
-        }
+        cal.hier_next = self.hierarchy.next_event_at();
+        cal.queue.publish(0, cal.hier_next);
     }
 
     /// Runs `warmup` instructions per core untimed (statistics discarded),
@@ -173,13 +231,15 @@ impl System {
         let n = self.cores.len();
         let budget = (warmup + sim) * 400 + 2_000_000;
 
-        // Calendar mode owns a `CalendarQueue` with one source per
-        // time-bearing component: source 0 is the hierarchy (event
-        // heap, retry queue, page walks, DRAM channels), sources 1..=n
-        // are the cores. It persists across the warmup/measure boundary
-        // (resetting statistics never moves an event).
+        // Calendar mode owns a `Calendar` (see its docs). It persists
+        // across the warmup/measure boundary (resetting statistics never
+        // moves an event). Its cores may owe stall cycles, so the warmup
+        // reset, the probe's snapshots and the end of the run first
+        // settle them; the tick loop owes none.
         let mut cal = match self.scheduler {
-            SchedulerModel::Calendar => Some(CalendarQueue::new(1 + n)),
+            SchedulerModel::Calendar => {
+                Some(Calendar::new(&self.hierarchy, &self.cores, self.cycle))
+            }
             SchedulerModel::Tick => None,
         };
 
@@ -191,6 +251,7 @@ impl System {
             self.advance_and_step(cal.as_mut());
             assert!(self.cycle < budget, "no forward progress during warmup");
         }
+        self.settle(cal.as_mut());
         for c in &mut self.cores {
             c.reset_stats();
         }
@@ -205,7 +266,6 @@ impl System {
             .filter(|&iv| iv > 0);
         let mut next_snap = probe_interval.unwrap_or(0);
         let mut last_snap: Option<Cycle> = None;
-        let mut finish_cycle: Vec<Option<Cycle>> = vec![None; n];
         let mut snapshots: Vec<Option<CoreRunStats>> = vec![None; n];
         while snapshots.iter().any(|s| s.is_none()) {
             self.advance_and_step(cal.as_mut());
@@ -216,6 +276,7 @@ impl System {
             if let Some(iv) = probe_interval {
                 let elapsed = self.cycle - measure_start;
                 if elapsed >= next_snap {
+                    self.settle(cal.as_mut());
                     self.probe_snapshot(measure_start);
                     last_snap = Some(elapsed);
                     // One snapshot per crossing: a fast-forward jump
@@ -227,10 +288,12 @@ impl System {
                     }
                 }
             }
-            for i in 0..n {
-                if snapshots[i].is_none() && self.cores[i].retired() >= sim {
-                    finish_cycle[i] = Some(self.cycle);
-                    snapshots[i] = Some(CoreRunStats {
+            for (i, snap) in snapshots.iter_mut().enumerate() {
+                if snap.is_none() && self.cores[i].retired() >= sim {
+                    // A core reaches its quota only by retiring, in its
+                    // tick at this step, so it owes no stall cycles here.
+                    debug_assert!(cal.as_ref().is_none_or(|c| c.accounted[i] == self.cycle));
+                    *snap = Some(CoreRunStats {
                         workload: self.specs[i].name.clone(),
                         category: self.specs[i].category,
                         instructions: sim,
@@ -242,6 +305,8 @@ impl System {
                 }
             }
         }
+        // Leave every core fully accounted, as the tick loop does.
+        self.settle(cal.as_mut());
         // A closing snapshot captures the tail interval (and guarantees
         // the timeline is nonempty on runs shorter than one interval).
         if probe_interval.is_some() && last_snap != Some(self.cycle - measure_start) {
@@ -270,6 +335,16 @@ impl System {
             dram,
             power,
             probe: self.hierarchy.probe_report(),
+        }
+    }
+
+    /// Calendar mode: counts every core's owed stall cycles up to the
+    /// current cycle (no-op in tick mode, where no core owes any).
+    fn settle(&mut self, cal: Option<&mut Calendar>) {
+        if let Some(cal) = cal {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                cal.catch_up(i, core, self.cycle);
+            }
         }
     }
 

@@ -59,14 +59,18 @@ pub const fn mix64(mut x: u64) -> u64 {
 #[inline]
 pub fn fold_bits(value: u64, bits: u32) -> usize {
     assert!((1..=32).contains(&bits), "fold width out of range: {bits}");
-    let mask = (1u64 << bits) - 1;
+    // Doubling fold: after pass k, bit i holds the XOR of the input's
+    // bits i + j·bits for j < 2^(k+1) (shifts past bit 63 contribute
+    // nothing). Six passes cover 64 chunks, every chunk of a 64-bit
+    // value at width 1, so the loop count is fixed and unrolls; passes
+    // whose shift reaches 64 are no-ops.
     let mut v = value;
-    let mut acc = 0u64;
-    while v != 0 {
-        acc ^= v & mask;
-        v >>= bits;
+    let mut shift = bits;
+    for _ in 0..6 {
+        v ^= v.checked_shr(shift).unwrap_or(0);
+        shift <<= 1;
     }
-    acc as usize
+    (v & ((1u64 << bits) - 1)) as usize
 }
 
 /// Hashes `value` into an index for a table of `1 << bits` entries.
@@ -177,6 +181,36 @@ mod tests {
         let a = fold_bits(0x1 << 60, 10);
         let b = fold_bits(0x2 << 60, 10);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fold_bits_matches_chunk_by_chunk_fold() {
+        // The fold as a loop over every `bits`-wide chunk until the
+        // value runs out: the definition the doubling fold reproduces.
+        fn chunk_fold(value: u64, bits: u32) -> usize {
+            let mask = (1u64 << bits) - 1;
+            let mut v = value;
+            let mut acc = 0u64;
+            while v != 0 {
+                acc ^= v & mask;
+                v >>= bits;
+            }
+            acc as usize
+        }
+        let edges = [
+            0,
+            1,
+            u64::MAX,
+            1 << 63,
+            u64::MAX >> 1,
+            0x5555_5555_5555_5555,
+        ];
+        for bits in 1..=32 {
+            let mixed = (0..2_000u64).map(mix64);
+            for v in edges.into_iter().chain(mixed) {
+                assert_eq!(fold_bits(v, bits), chunk_fold(v, bits), "{v:#x} at {bits}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! record, bit-for-bit — on every kind of configuration: single-core,
 //! multi-core with MESI coherence (which saturates the L1 MSHRs and
 //! exercises the retry queue heavily), address translation on, the
-//! out-of-order core model, the probe attached, and fast-forward off.
+//! out-of-order core model, the probe attached, fast-forward off, and
+//! heterogeneous 4-core mixes whose cores sit idle for long spans while
+//! others run (the calendar loop counts those spans per core, lazily).
 //! The comparison is the full `Debug` rendering of [`RunStats`], the
 //! strongest equality the stats expose.
 
@@ -13,13 +15,19 @@ use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_cache::CoherenceConfig;
 use hermes_repro::hermes_cpu::{CoreModel, OooConfig};
 use hermes_repro::hermes_probe::ProbeConfig;
-use hermes_repro::hermes_sim::{SchedulerModel, System, SystemConfig};
+use hermes_repro::hermes_sim::{RunStats, SchedulerModel, System, SystemConfig};
 use hermes_repro::hermes_trace::{suite, WorkloadSpec};
 use hermes_repro::hermes_vm::VmConfig;
 
-/// Runs `cfg` under both scheduler models and asserts bit-identical
-/// statistics.
-fn assert_equivalent(tag: &str, cfg: SystemConfig, specs: &[WorkloadSpec], warmup: u64, sim: u64) {
+/// Runs `cfg` under both scheduler models, asserts bit-identical
+/// statistics and returns them.
+fn assert_equivalent(
+    tag: &str,
+    cfg: SystemConfig,
+    specs: &[WorkloadSpec],
+    warmup: u64,
+    sim: u64,
+) -> RunStats {
     let tick =
         System::new(cfg.clone().with_scheduler(SchedulerModel::Tick), specs).run(warmup, sim);
     let cal = System::new(cfg.with_scheduler(SchedulerModel::Calendar), specs).run(warmup, sim);
@@ -28,6 +36,7 @@ fn assert_equivalent(tag: &str, cfg: SystemConfig, specs: &[WorkloadSpec], warmu
         format!("{cal:?}"),
         "{tag}: calendar scheduler diverged from tick"
     );
+    cal
 }
 
 #[test]
@@ -151,4 +160,49 @@ fn calendar_never_stalls_with_work_pending() {
         assert_eq!(c.instructions, 5_000, "{} stalled short", c.workload);
     }
     assert!(stats.total_cycles > 0);
+}
+
+/// The `mix-4c-vm` benchmark's traces, one per core: `tlb-chase` runs at
+/// a small fraction of the others' IPC, so after the fast cores finish
+/// their quota most cycles have one busy core and three idle ones whose
+/// stall cycles the calendar loop counts in one step per idle span.
+fn slow_fast_mix() -> Vec<WorkloadSpec> {
+    let pick = |all: Vec<WorkloadSpec>, name: &str| {
+        all.into_iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("suite lost trace {name}"))
+    };
+    vec![
+        pick(suite::tlb_suite(), "tlb-chase"),
+        pick(suite::default_suite(), "gcc_s-like"),
+        pick(suite::tlb_suite(), "tlb-join"),
+        pick(suite::default_suite(), "server-join"),
+    ]
+}
+
+#[test]
+fn calendar_matches_tick_4core_mix_vm_with_probe() {
+    // Idle cores' owed stall cycles must be counted before their state
+    // is read or reset: at the warmup reset, at the probe's interval
+    // snapshots (several fire mid-run here) and at the end of the run.
+    let cfg = SystemConfig {
+        cores: 4,
+        ..SystemConfig::baseline_1c()
+    }
+    .with_vm(VmConfig::baseline())
+    .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet))
+    .with_probe(ProbeConfig::default().with_interval(5_000));
+    let stats = assert_equivalent("4c-mix-vm-probe", cfg, &slow_fast_mix(), 1_000, 3_000);
+    let intervals = stats.probe.expect("probe on").intervals.len();
+    assert!(intervals >= 4, "only {intervals} probe intervals");
+}
+
+#[test]
+fn calendar_matches_tick_4core_ooo() {
+    let cfg = SystemConfig {
+        cores: 4,
+        ..SystemConfig::baseline_1c()
+    }
+    .with_core_model(CoreModel::OoO(OooConfig::baseline()));
+    assert_equivalent("4c-ooo-mix", cfg, &slow_fast_mix(), 1_000, 3_000);
 }
