@@ -59,42 +59,21 @@ impl PerceptronBp {
             .sum()
     }
 
-    /// Predicts the direction of the branch at `pc`.
-    pub fn predict(&self, pc: u64) -> bool {
-        let idx = self.indices(pc);
-        self.sum(&idx) >= 0
-    }
-
-    /// Trains with the resolved outcome. `predicted` is what
-    /// [`PerceptronBp::predict`] returned for this instance of the
-    /// branch.
-    pub fn train(&mut self, pc: u64, taken: bool, predicted: bool) {
-        let idx = self.indices(pc);
-        let s = self.sum(&idx);
-        self.update(&idx, s, taken, predicted);
-    }
-
-    /// Predicts the branch at `pc`, then trains with its resolved
-    /// outcome `taken`; returns the prediction. Equal to
-    /// [`PerceptronBp::predict`] followed by [`PerceptronBp::train`], with
-    /// the indices and the sum computed once.
+    /// Predicts the branch at `pc` (taken when the summed weights are
+    /// non-negative), then trains with its resolved outcome `taken` and
+    /// shifts the outcome into the history; returns the prediction. The
+    /// indices and the sum are computed once per branch.
     pub fn predict_train(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.indices(pc);
         let s = self.sum(&idx);
         let predicted = s >= 0;
-        self.update(&idx, s, taken, predicted);
-        predicted
-    }
-
-    /// Trains the weights at `idx`, which sum to `s`, on a misprediction
-    /// or a sum below θ, then shifts the outcome into the history.
-    fn update(&mut self, idx: &[usize; PBP_TABLES], s: i32, taken: bool, predicted: bool) {
         if predicted != taken || s.abs() < PBP_THETA {
-            for (t, &i) in self.tables.iter_mut().zip(idx) {
+            for (t, &i) in self.tables.iter_mut().zip(&idx) {
                 t[i].train(taken);
             }
         }
         self.ghist = (self.ghist << 1) | taken as u64;
+        predicted
     }
 
     /// Storage cost in bits.
@@ -118,11 +97,9 @@ mod tests {
         for i in 0..n {
             let pc = 0x400_000 + (i % 4) * 4;
             let taken = pattern(i);
-            let p = bp.predict(pc);
-            if p == taken {
+            if bp.predict_train(pc, taken) == taken {
                 correct += 1;
             }
-            bp.train(pc, taken, p);
         }
         correct as f64 / n as f64
     }
@@ -147,23 +124,6 @@ mod tests {
         let mut bp = PerceptronBp::new();
         let acc = accuracy(&mut bp, |i| (i / 3).is_multiple_of(2), 6000);
         assert!(acc > 0.9, "correlated pattern accuracy {acc}");
-    }
-
-    #[test]
-    fn predict_train_matches_predict_then_train() {
-        let mut split = PerceptronBp::new();
-        let mut fused = PerceptronBp::new();
-        for i in 0..20_000u64 {
-            let pc = 0x400_000 + (hermes_types::mix64(i) % 64) * 4;
-            let taken = (i / 3).is_multiple_of(2) ^ hermes_types::mix64(i).is_multiple_of(7);
-            let p = split.predict(pc);
-            split.train(pc, taken, p);
-            assert_eq!(fused.predict_train(pc, taken), p, "branch {i}");
-        }
-        assert_eq!(split.ghist, fused.ghist);
-        for (a, b) in split.tables.iter().zip(&fused.tables) {
-            assert!(a.iter().zip(b).all(|(x, y)| x.get() == y.get()));
-        }
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub enum SchedulerModel {
 /// Each source (the hierarchy, each core) owns exactly one *published*
 /// time — the earliest cycle at which it can do real work, or
 /// [`Cycle::MAX`] when it is fully blocked. [`CalendarQueue::publish`]
-/// overwrites the source's time; [`CalendarQueue::next_due`] returns the
+/// overwrites the source's time and [`CalendarQueue::at`] reads it back;
+/// [`CalendarQueue::next_due`] returns the
 /// earliest cycle at or after `from` at which any source is due, as a
 /// plain min over the published times. With 1 + cores sources (at most
 /// nine in every experiment) that scan is cheaper than maintaining a
@@ -79,6 +80,12 @@ impl CalendarQueue {
     #[inline]
     pub fn publish(&mut self, src: usize, at: Cycle) {
         self.published[src] = at;
+    }
+
+    /// `src`'s currently published time (`Cycle::MAX` = idle).
+    #[inline]
+    pub fn at(&self, src: usize) -> Cycle {
+        self.published[src]
     }
 
     /// The earliest cycle `>= from` at which any source is due
@@ -109,6 +116,7 @@ mod tests {
     fn single_source_round_trip() {
         let mut q = CalendarQueue::new(1);
         q.publish(0, 17);
+        assert_eq!(q.at(0), 17);
         assert_eq!(q.next_due(0), 17);
         assert_eq!(q.next_due(17), 17);
         // Past-due publishes surface at the asked-about cycle.

@@ -30,8 +30,8 @@ pub struct System {
 }
 
 /// The calendar loop's state for one [`System::run`]: the
-/// [`CalendarQueue`] plus each source's cached wake-up time and each
-/// core's stall-accounting frontier.
+/// [`CalendarQueue`], which holds each source's cached wake-up time, and
+/// each core's stall-accounting frontier.
 ///
 /// Source 0 is the hierarchy (event heap, retry queue, page walks, DRAM
 /// channels), sources 1..=n are the cores. A core's state changes only
@@ -43,11 +43,10 @@ pub struct System {
 /// Over that span the core's state is frozen, so one bulk call counts
 /// exactly what per-cycle `skip_stalled(1)` calls would have.
 struct Calendar {
+    /// Source 0: the hierarchy's `next_event_at` after the last step;
+    /// source `1 + i`: core `i`'s `next_work_at` after its last tick or
+    /// delivery.
     queue: CalendarQueue,
-    /// The hierarchy's `next_event_at` after the last step.
-    hier_next: Cycle,
-    /// Each core's `next_work_at` after its last tick or delivery.
-    next_work: Vec<Cycle>,
     /// Each core's first cycle whose stall is not yet counted.
     accounted: Vec<Cycle>,
 }
@@ -58,11 +57,9 @@ impl Calendar {
     fn new(hierarchy: &Hierarchy, cores: &[AnyCore], now: Cycle) -> Self {
         let mut cal = Self {
             queue: CalendarQueue::new(1 + cores.len()),
-            hier_next: hierarchy.next_event_at(),
-            next_work: vec![Cycle::MAX; cores.len()],
             accounted: vec![now; cores.len()],
         };
-        cal.queue.publish(0, cal.hier_next);
+        cal.queue.publish(0, hierarchy.next_event_at());
         for (i, core) in cores.iter().enumerate() {
             cal.refresh(i, core);
         }
@@ -73,9 +70,7 @@ impl Calendar {
     /// changed.
     #[inline]
     fn refresh(&mut self, i: usize, core: &AnyCore) {
-        let at = core.next_work_at();
-        self.next_work[i] = at;
-        self.queue.publish(1 + i, at);
+        self.queue.publish(1 + i, core.next_work_at());
     }
 
     /// Counts core `i`'s owed stall cycles up to (excluding) `to`.
@@ -194,7 +189,7 @@ impl System {
             self.cycle = target;
         }
         let now = self.cycle;
-        if cal.hier_next <= now {
+        if cal.queue.at(0) <= now {
             self.hierarchy.tick(now);
         }
         self.hierarchy.drain_finished(&mut self.finished_buf);
@@ -206,7 +201,7 @@ impl System {
         }
         self.finished_buf = completions;
         for (i, core) in self.cores.iter_mut().enumerate() {
-            if cal.next_work[i] <= now {
+            if cal.queue.at(1 + i) <= now {
                 cal.catch_up(i, core, now);
                 core.tick(now, &mut self.hierarchy);
                 cal.accounted[i] = now + 1;
@@ -214,8 +209,7 @@ impl System {
             }
         }
         self.cycle += 1;
-        cal.hier_next = self.hierarchy.next_event_at();
-        cal.queue.publish(0, cal.hier_next);
+        cal.queue.publish(0, self.hierarchy.next_event_at());
     }
 
     /// Runs `warmup` instructions per core untimed (statistics discarded),
