@@ -1,71 +1,4 @@
-//! Fig. 13 — per-trace speedup line graph: Hermes-O, Pythia, and
-//! Pythia + Hermes-O over no-prefetching, sorted by the combined system's
-//! speedup.
-
-use hermes::PredictorKind;
-use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
-
-fn main() {
-    let scale = Scale::from_args();
-    let (bt, bc) = configs::nopf();
-    let (ht, hc) = configs::hermes_alone('o', PredictorKind::Popet);
-    let (pt, pc) = configs::pythia();
-    let (ct, cc) = configs::pythia_hermes('o', PredictorKind::Popet);
-    let grid = [
-        (bt.to_string(), bc),
-        (ht.clone(), hc),
-        (pt.to_string(), pc),
-        (ct.clone(), cc),
-    ];
-    let results = run_grid(cross(&grid, &scale.suite), &scale);
-    let base = results.suite(bt, &scale.suite);
-    let hermes = results.suite(&ht, &scale.suite);
-    let pythia = results.suite(pt, &scale.suite);
-    let combo = results.suite(&ct, &scale.suite);
-
-    let mut rows: Vec<(String, f64, f64, f64)> = base
-        .iter()
-        .enumerate()
-        .map(|(i, (spec, b))| {
-            (
-                spec.name.clone(),
-                hermes[i].1.ipc / b.ipc,
-                pythia[i].1.ipc / b.ipc,
-                combo[i].1.ipc / b.ipc,
-            )
-        })
-        .collect();
-    rows.sort_by(|a, b| a.3.partial_cmp(&b.3).expect("finite speedups"));
-
-    let mut t = Table::new(&["trace (sorted)", "Hermes-O", "Pythia", "Pythia+Hermes-O"]);
-    let mut hermes_wins = 0;
-    let mut hermes_always_gains = true;
-    let mut combo_beats_both = 0;
-    for (name, h, p, c) in &rows {
-        t.row(&[name.clone(), f3(*h), f3(*p), f3(*c)]);
-        if h > p {
-            hermes_wins += 1;
-        }
-        if *h < 1.0 {
-            hermes_always_gains = false;
-        }
-        if *c >= h.max(*p) * 0.995 {
-            combo_beats_both += 1;
-        }
-    }
-    let summary = format!(
-        "Hermes-O alone beats Pythia in {}/{} traces; Hermes alone ≥ no-prefetching in {} traces; the combination matches-or-beats both alone in {}/{} traces (paper: Hermes wins 51/110; Hermes alone always gains; combination wins almost everywhere).",
-        hermes_wins,
-        rows.len(),
-        if hermes_always_gains { "all".to_string() } else { "not all".to_string() },
-        combo_beats_both,
-        rows.len(),
-    );
-    emit(
-        "fig13",
-        "Per-trace speedups (sorted)",
-        &format!("{}\n{}", t.to_markdown(), summary),
-        &scale,
-        &results,
-    );
+//! Runs the `fig13` experiment (`hermes_bench::experiments::fig13`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::fig13::EXPERIMENT)
 }

@@ -1,92 +1,4 @@
-//! Fig. 16 — eight-core speedups: Pythia vs Pythia + Hermes-{HMP, TTP,
-//! POPET}, normalized to the no-prefetching eight-core system.
-//!
-//! Homogeneous mixes (eight copies of one trace per run) for a
-//! category-diverse subsample, plus heterogeneous MIX runs, as in §7.1.
-
-use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, run_grid, Scale, Table};
-use hermes_prefetch::PrefetcherKind;
-use hermes_sim::SystemConfig;
-use hermes_types::geomean;
-
-fn main() {
-    let mut scale = Scale::from_args();
-    // Eight-core runs cost ~8x; shorten the per-core window.
-    scale.warmup /= 2;
-    scale.instr /= 2;
-    let subsuite = scale.sweep_suite();
-
-    let configs: Vec<(String, SystemConfig)> = vec![
-        (
-            "no-prefetching".into(),
-            SystemConfig::baseline_8c().with_prefetcher(PrefetcherKind::None),
-        ),
-        ("Pythia".into(), SystemConfig::baseline_8c()),
-        (
-            "Pythia+Hermes-HMP".into(),
-            SystemConfig::baseline_8c().with_hermes(HermesConfig::hermes_o(PredictorKind::Hmp)),
-        ),
-        (
-            "Pythia+Hermes-TTP".into(),
-            SystemConfig::baseline_8c().with_hermes(HermesConfig::hermes_o(PredictorKind::Ttp)),
-        ),
-        (
-            "Pythia+Hermes-POPET".into(),
-            SystemConfig::baseline_8c().with_hermes(HermesConfig::hermes_o(PredictorKind::Popet)),
-        ),
-    ];
-
-    let points: Vec<(String, SystemConfig)> = configs
-        .into_iter()
-        .map(|(tag, cfg)| (format!("8c-{tag}"), cfg))
-        .collect();
-    let results = run_grid(cross(&points, &subsuite), &scale);
-
-    // speedups[cfg][trace]
-    let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); points.len()];
-    let mut t = Table::new(&[
-        "8-core mix",
-        "Pythia",
-        "+Hermes-HMP",
-        "+Hermes-TTP",
-        "+Hermes-POPET",
-    ]);
-    for spec in &subsuite {
-        let ipcs: Vec<f64> = points
-            .iter()
-            .map(|(tag, _)| results.get(tag, spec).ipc)
-            .collect();
-        for (i, ipc) in ipcs.iter().enumerate() {
-            per_cfg[i].push(ipc / ipcs[0]);
-        }
-        t.row(&[
-            format!("8x {}", spec.name),
-            f3(ipcs[1] / ipcs[0]),
-            f3(ipcs[2] / ipcs[0]),
-            f3(ipcs[3] / ipcs[0]),
-            f3(ipcs[4] / ipcs[0]),
-        ]);
-    }
-    let g: Vec<f64> = per_cfg.iter().map(|v| geomean(v)).collect();
-    t.row(&[
-        "GEOMEAN".to_string(),
-        f3(g[1]),
-        f3(g[2]),
-        f3(g[3]),
-        f3(g[4]),
-    ]);
-    let summary = format!(
-        "Over Pythia: Hermes-HMP {:+.1}%, Hermes-TTP {:+.1}%, Hermes-POPET {:+.1}% (paper: +0.6%, -2.1%, +5.1%). Shape check: POPET gains under bandwidth pressure; TTP's inaccuracy costs it.",
-        (g[2] / g[1] - 1.0) * 100.0,
-        (g[3] / g[1] - 1.0) * 100.0,
-        (g[4] / g[1] - 1.0) * 100.0,
-    );
-    emit(
-        "fig16",
-        "Eight-core speedups",
-        &format!("{}\n{}", t.to_markdown(), summary),
-        &scale,
-        &results,
-    );
+//! Runs the `fig16` experiment (`hermes_bench::experiments::fig16`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::fig16::EXPERIMENT)
 }

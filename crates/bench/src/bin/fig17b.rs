@@ -1,74 +1,4 @@
-//! Fig. 17b — Hermes combined with each baseline prefetcher (Pythia,
-//! Bingo, SPP, MLOP, SMS): prefetcher alone vs +Hermes-P vs +Hermes-O.
-
-use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
-use hermes_prefetch::PrefetcherKind;
-use hermes_sim::SystemConfig;
-use hermes_types::geomean;
-
-fn main() {
-    let scale = Scale::from_args();
-    let (bt, bc) = configs::nopf();
-    // Per prefetcher: alone, +Hermes-P, +Hermes-O.
-    let point_cfgs = |pf: PrefetcherKind| {
-        let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
-        [
-            (format!("{}-only", pf.label()), cfg.clone()),
-            (
-                format!("{}+hermesP", pf.label()),
-                cfg.clone()
-                    .with_hermes(HermesConfig::hermes_p(PredictorKind::Popet)),
-            ),
-            (
-                format!("{}+hermesO", pf.label()),
-                cfg.with_hermes(HermesConfig::hermes_o(PredictorKind::Popet)),
-            ),
-        ]
-    };
-    let mut grid = vec![(bt.to_string(), bc)];
-    grid.extend(PrefetcherKind::PAPER_SET.into_iter().flat_map(point_cfgs));
-    let results = run_grid(cross(&grid, &scale.suite), &scale);
-    let base = results.suite(bt, &scale.suite);
-
-    let mut t = Table::new(&[
-        "prefetcher",
-        "alone",
-        "+Hermes-P",
-        "+Hermes-O",
-        "Hermes-O gain",
-    ]);
-    let mut all_positive = true;
-    for pf in PrefetcherKind::PAPER_SET {
-        let [alone, p, o] = point_cfgs(pf).map(|(tag, _)| {
-            let runs = results.suite(&tag, &scale.suite);
-            let v: Vec<f64> = base
-                .iter()
-                .zip(&runs)
-                .map(|((_, b), (_, x))| x.ipc / b.ipc)
-                .collect();
-            geomean(&v)
-        });
-        if o < alone {
-            all_positive = false;
-        }
-        t.row(&[
-            pf.label().to_string(),
-            f3(alone),
-            f3(p),
-            f3(o),
-            format!("{:+.1}%", (o / alone - 1.0) * 100.0),
-        ]);
-    }
-    let summary = format!(
-        "Hermes-O on top of every prefetcher: {} (paper: consistent gains of +5.1%..+7.7% across Bingo/SPP/MLOP/SMS and +5.4% on Pythia).",
-        if all_positive { "positive for all five" } else { "not uniformly positive at this scale" },
-    );
-    emit(
-        "fig17b",
-        "Hermes with different baseline prefetchers",
-        &format!("{}\n{}", t.to_markdown(), summary),
-        &scale,
-        &results,
-    );
+//! Runs the `fig17b` experiment (`hermes_bench::experiments::fig17b`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::fig17b::EXPERIMENT)
 }

@@ -1,69 +1,4 @@
-//! Fig. 18 — runtime dynamic power of Hermes, Pythia, and the
-//! combination, normalized to the no-prefetching system.
-
-use hermes::PredictorKind;
-use hermes_bench::{configs, cross, emit, f3, run_grid, Scale, Table};
-
-fn main() {
-    let scale = Scale::from_args();
-    let (bt, bc) = configs::nopf();
-    let named = [
-        ("Hermes-O", configs::hermes_alone('o', PredictorKind::Popet)),
-        ("Pythia", {
-            let (t, c) = configs::pythia();
-            (t.to_string(), c)
-        }),
-        (
-            "Pythia + Hermes-O",
-            configs::pythia_hermes('o', PredictorKind::Popet),
-        ),
-    ];
-    let mut grid = vec![(bt.to_string(), bc)];
-    grid.extend(named.iter().map(|(_, point)| point.clone()));
-    let results = run_grid(cross(&grid, &scale.suite), &scale);
-    let base = results.suite(bt, &scale.suite);
-
-    let mut t = Table::new(&[
-        "config",
-        "normalized dynamic power",
-        "bus/DRAM share",
-        "caches share",
-        "metadata share",
-    ]);
-    let mut summary_vals = Vec::new();
-    for (label, (tag, _)) in named {
-        let runs = results.suite(&tag, &scale.suite);
-        // Normalized power = (energy / cycles) vs baseline, averaged.
-        let ratios: Vec<f64> = base
-            .iter()
-            .zip(&runs)
-            .map(|((_, b), (_, x))| (x.energy / x.cycles) / (b.energy / b.cycles))
-            .collect();
-        let p = hermes_types::mean(&ratios);
-        summary_vals.push((label, p));
-        let tot: f64 = runs.iter().map(|(_, r)| r.energy).sum();
-        let bus: f64 = runs.iter().map(|(_, r)| r.energy_bus).sum();
-        let caches: f64 = runs.iter().map(|(_, r)| r.energy_caches).sum();
-        let meta: f64 = runs.iter().map(|(_, r)| r.energy_meta).sum();
-        t.row(&[
-            label.to_string(),
-            f3(p),
-            f3(bus / tot),
-            f3(caches / tot),
-            f3(meta / tot),
-        ]);
-    }
-    let summary = format!(
-        "Dynamic power over no-prefetching: Hermes {:+.1}%, Pythia {:+.1}%, both {:+.1}% (paper: +3.6%, +8.7%, +10.2%). Power here tracks (memory traffic)/(runtime): our suite is more memory-intensive than the paper's, so absolute deltas are larger; the per-performance cost ordering (Hermes cheaper per 1% speedup) is checked in fig15(b).",
-        (summary_vals[0].1 - 1.0) * 100.0,
-        (summary_vals[1].1 - 1.0) * 100.0,
-        (summary_vals[2].1 - 1.0) * 100.0,
-    );
-    emit(
-        "fig18p",
-        "Normalized dynamic power",
-        &format!("{}\n{}", t.to_markdown(), summary),
-        &scale,
-        &results,
-    );
+//! Runs the `fig18p` experiment (`hermes_bench::experiments::fig18p`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::fig18p::EXPERIMENT)
 }

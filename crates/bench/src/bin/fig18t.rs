@@ -1,60 +1,4 @@
-//! Fig. 17 (second, τ_act) — effect of the activation threshold on
-//! POPET's accuracy/coverage and Hermes' speedup.
-
-use hermes::{HermesConfig, PopetConfig, PredictorKind};
-use hermes_bench::{configs, cross, emit, f3, pct, run_grid, Scale, Table};
-use hermes_sim::SystemConfig;
-use hermes_types::geomean;
-
-fn main() {
-    let scale = Scale::from_args();
-    let subsuite = scale.sweep_suite();
-
-    let taus: Vec<i32> = (-38..=2).step_by(4).collect();
-    let tau_tag = |tau: i32| format!("pythia+hermes-tau{tau}");
-    let (bt, bc) = configs::nopf();
-    let mut grid: Vec<(String, SystemConfig)> = vec![(bt.to_string(), bc)];
-    for &tau in &taus {
-        let cfg = SystemConfig::baseline_1c()
-            .with_popet(PopetConfig::paper().with_tau_act(tau))
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        grid.push((tau_tag(tau), cfg));
-    }
-    let results = run_grid(cross(&grid, &subsuite), &scale);
-
-    let mut t = Table::new(&["tau_act", "accuracy", "coverage", "Pythia+Hermes speedup"]);
-    let mut accs = Vec::new();
-    let mut covs = Vec::new();
-    for &tau in &taus {
-        let mut acc = Vec::new();
-        let mut cov = Vec::new();
-        let mut sp = Vec::new();
-        for spec in &subsuite {
-            let b = results.get(bt, spec);
-            let r = results.get(&tau_tag(tau), spec);
-            acc.push(r.accuracy);
-            cov.push(r.coverage);
-            sp.push(r.ipc / b.ipc);
-        }
-        let (a, c) = (hermes_types::mean(&acc), hermes_types::mean(&cov));
-        accs.push(a);
-        covs.push(c);
-        t.row(&[tau.to_string(), pct(a), pct(c), f3(geomean(&sp))]);
-    }
-    let acc_rises = accs.windows(2).filter(|w| w[1] >= w[0] - 0.02).count();
-    let cov_falls = covs.windows(2).filter(|w| w[1] <= w[0] + 0.02).count();
-    let summary = format!(
-        "As τ_act rises, accuracy rises ({}/{} steps) and coverage falls ({}/{} steps) — the paper's trade-off; τ_act = −18 balances both (Table 2).",
-        acc_rises,
-        accs.len() - 1,
-        cov_falls,
-        covs.len() - 1,
-    );
-    emit(
-        "fig18t",
-        "Activation-threshold sweep",
-        &format!("{}\n{}", t.to_markdown(), summary),
-        &scale,
-        &results,
-    );
+//! Runs the `fig18t` experiment (`hermes_bench::experiments::fig18t`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::fig18t::EXPERIMENT)
 }

@@ -1,55 +1,4 @@
-//! Fig. 22 (Appendix B.4) — main-memory request overhead of each
-//! prefetcher alone and combined with Hermes.
-
-use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{configs, cross, emit, pct, run_grid, Scale, Table};
-use hermes_prefetch::PrefetcherKind;
-use hermes_sim::SystemConfig;
-
-fn main() {
-    let scale = Scale::from_args();
-    let (bt, bc) = configs::nopf();
-    let alone_tag = |pf: PrefetcherKind| format!("{}-only", pf.label());
-    let hermes_tag = |pf: PrefetcherKind| format!("{}+hermesO", pf.label());
-    let mut grid = vec![(bt.to_string(), bc)];
-    for pf in PrefetcherKind::PAPER_SET {
-        let cfg = SystemConfig::baseline_1c().with_prefetcher(pf);
-        let cfg_h = cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        grid.push((alone_tag(pf), cfg));
-        grid.push((hermes_tag(pf), cfg_h));
-    }
-    let results = run_grid(cross(&grid, &scale.suite), &scale);
-    let base = results.suite(bt, &scale.suite);
-
-    let overhead = |runs: &[(hermes_trace::WorkloadSpec, hermes_bench::RunLite)]| -> f64 {
-        hermes_types::mean(
-            &base
-                .iter()
-                .zip(runs)
-                .map(|((_, b), (_, x))| x.mm_requests / b.mm_requests.max(1.0) - 1.0)
-                .collect::<Vec<_>>(),
-        )
-    };
-
-    let mut t = Table::new(&["prefetcher", "alone", "+Hermes-O", "Hermes adds"]);
-    for pf in PrefetcherKind::PAPER_SET {
-        let alone = overhead(&results.suite(&alone_tag(pf), &scale.suite));
-        let with_h = overhead(&results.suite(&hermes_tag(pf), &scale.suite));
-        t.row(&[
-            pf.label().to_string(),
-            pct(alone),
-            pct(with_h),
-            pct(with_h - alone),
-        ]);
-    }
-    let summary = "Shape check vs paper (Fig. 22): adding Hermes to any prefetcher costs only a few percent extra main-memory requests (paper: +5.8%..+15.6%), far below the prefetchers' own overhead.";
-    emit(
-        "fig22",
-        "Main-memory request overhead by prefetcher",
-        &format!("{}\n{}", t.to_markdown(), summary),
-        &scale,
-        &results,
-    );
+//! Runs the `fig22` experiment (`hermes_bench::experiments::fig22`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::fig22::EXPERIMENT)
 }

@@ -1,156 +1,4 @@
-//! `filter_sweep` — un-inverting the sharing sweep with coherence-aware
-//! prediction and the second-level speculative-read filter.
-//!
-//! Sweeps shared-access fraction over the sharing suite with MESI
-//! coherence on, comparing four systems at every point: the coherent
-//! baseline, raw Hermes-O/POPET (the `sharing_sweep` configuration whose
-//! speedup inverts under heavy sharing), POPET with the coherence-derived
-//! features and the split training label (`+coh`), and that plus the
-//! per-PC speculative-read filter (`+coh+filter`). Alongside IPC the
-//! table tracks what the filter is for: wasted speculative DRAM reads —
-//! Hermes requests launched for loads that then resolved on-chip out of
-//! a dirty intervention or a racing RFO — and predictor precision
-//! (TP / (TP+FP)) from the confusion matrices. The filter also guards
-//! bandwidth: no speculative read fires into a channel whose read queue
-//! is above quarter occupancy, which is what turns correct predictions
-//! into losses on a four-core single-channel system.
-//!
-//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`, plus
-//! `--smoke` — a CI-scale mode (2 cores, tiny windows, reduced grid).
-
-use hermes::{HermesConfig, PredictorKind};
-use hermes_bench::{cross, emit, f3, run_grid, speedup_table, speedups, RunLite, Scale, Table};
-use hermes_cache::CoherenceConfig;
-use hermes_sim::SystemConfig;
-use hermes_trace::{suite, WorkloadSpec};
-use hermes_types::geomean;
-
-fn main() {
-    let mut scale = Scale::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (cores, fractions): (usize, &[u32]) = if smoke {
-        scale.warmup = 2_000;
-        scale.instr = 6_000;
-        (2, &[0, 500])
-    } else {
-        (4, &[0, 250, 500])
-    };
-
-    // Every shared fraction's tag and workloads, in table order; the ring
-    // is identical at every fraction, so its repeats share one simulation.
-    let variants = ["base", "hermesO-popet", "hermesO-coh", "hermesO-coh-filter"];
-    let mut sweep = Vec::new();
-    let mut grid = Vec::new();
-    for &frac in fractions {
-        let specs = suite::sharing_suite(frac);
-        let base_cfg = SystemConfig {
-            cores,
-            ..SystemConfig::baseline_1c()
-        }
-        .with_coherence(CoherenceConfig::baseline());
-        let raw_cfg = base_cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-        let coh_cfg = base_cfg
-            .clone()
-            .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet).with_coh_features());
-        let filt_cfg = base_cfg.clone().with_hermes(
-            HermesConfig::hermes_o(PredictorKind::Popet)
-                .with_coh_features()
-                .with_filter(),
-        );
-        let tag = format!("filt{frac}-{cores}c");
-        let configs: Vec<(String, SystemConfig)> = variants
-            .iter()
-            .map(|v| format!("{tag}-{v}"))
-            .zip([base_cfg, raw_cfg, coh_cfg, filt_cfg])
-            .collect();
-        grid.extend(cross(&configs, &specs));
-        sweep.push((frac, tag, specs));
-    }
-    let results = run_grid(grid, &scale);
-
-    let gm = |rs: &[(WorkloadSpec, RunLite)]| {
-        geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
-    };
-    let mean = |rs: &[(WorkloadSpec, RunLite)], f: &dyn Fn(&RunLite) -> f64| {
-        rs.iter().map(|(_, r)| f(r)).sum::<f64>() / rs.len() as f64
-    };
-    // Precision over the whole suite from the summed confusion
-    // matrices (a per-workload mean would overweight tiny matrices).
-    let precision = |rs: &[(WorkloadSpec, RunLite)]| {
-        let tp: f64 = rs.iter().map(|(_, r)| r.pred_tp).sum();
-        let fp: f64 = rs.iter().map(|(_, r)| r.pred_fp).sum();
-        if tp + fp == 0.0 {
-            1.0
-        } else {
-            tp / (tp + fp)
-        }
-    };
-    let mut t = Table::new(&[
-        "shared",
-        "IPC base",
-        "spd raw",
-        "spd +coh",
-        "spd +coh+filt",
-        "wasted raw",
-        "wasted +filt",
-        "prec raw",
-        "prec +coh",
-    ]);
-    let mut speedup_rows = Vec::new();
-    for (frac, tag, specs) in sweep {
-        let [base, raw, coh, filt] = variants.map(|v| results.suite(&format!("{tag}-{v}"), &specs));
-        let ipc_b = gm(&base);
-        t.row(&[
-            format!("{:.0}%", frac as f64 / 10.0),
-            f3(ipc_b),
-            f3(gm(&raw) / ipc_b),
-            f3(gm(&coh) / ipc_b),
-            f3(gm(&filt) / ipc_b),
-            f3(mean(&raw, &|r| r.spec_reads_wasted)),
-            f3(mean(&filt, &|r| r.spec_reads_wasted)),
-            f3(precision(&raw)),
-            f3(precision(&coh)),
-        ]);
-        speedup_rows.push((format!("{tag}-raw"), speedups(&base, &raw)));
-        speedup_rows.push((format!("{tag}-coh+filter"), speedups(&base, &filt)));
-    }
-
-    let body = format!(
-        "Sharing suite (producer-consumer ring + shared-hot-set mix), \
-         {}+{} instructions/core on {} cores, MESI coherence on. `raw` is \
-         the five-feature POPET of `sharing_sweep`; `+coh` adds the three \
-         coherence-derived features and the split training label (loads \
-         served by a dirty intervention or a racing RFO train as \
-         *on-chip*); `+coh+filt` adds the per-PC second-level filter \
-         gating each speculative DRAM read on learned usefulness (wasted \
-         reads penalized 2:1), a hard veto when the line is known \
-         remote-Modified or an upgrade is in flight, and a bandwidth \
-         guard that skips firing into a channel read queue above quarter \
-         occupancy. `wasted` is speculative DRAM reads per core whose \
-         load then resolved on-chip; `prec` is suite-wide predictor \
-         precision TP/(TP+FP).\n\n{}\n\
-         Per-category speedup by sharing point:\n\n{}\n\
-         Reading: under sharing, raw POPET mislabels every coherence \
-         miss as off-chip, firing speculative DRAM reads that burn \
-         bandwidth and stall genuine fills — the inverted (<1) speedups \
-         `sharing_sweep` shows. The coherence features lift precision by \
-         separating intervention-bound loads; the filter then suppresses \
-         the remaining wasted reads, so Hermes degrades to no worse than \
-         the baseline where sharing is heaviest while keeping its win on \
-         the private fraction.",
-        scale.warmup,
-        scale.instr,
-        cores,
-        t.to_markdown(),
-        speedup_table(&speedup_rows),
-    );
-    emit(
-        "filter_sweep",
-        "Coherence-aware POPET + speculative-read filter vs raw Hermes under sharing",
-        &body,
-        &scale,
-        &results,
-    );
+//! Runs the `filter_sweep` experiment (`hermes_bench::experiments::filter_sweep`).
+fn main() -> std::process::ExitCode {
+    hermes_bench::main(hermes_bench::experiments::filter_sweep::EXPERIMENT)
 }

@@ -1,77 +1,30 @@
-//! Runs every experiment binary and regenerates `EXPERIMENTS.md` from the
-//! recorded sections.
+//! Runs every experiment as one batch and regenerates `EXPERIMENTS.md`.
 //!
 //! Usage: `cargo run -p hermes-bench --release --bin run_all
 //! [--quick|--full] [--jobs N]`
 //!
-//! Flags (including `--jobs`) are forwarded to every child binary, which
-//! parallelises internally via the `hermes-exec` engine; the shared
-//! `target/expcache/` is lock-protected, so children reuse each other's
-//! baselines safely. Every experiment is timed; a summary table is
-//! printed at the end, failures are collected (not fatal mid-run) and
-//! listed last so they never scroll out of view. The timings are also
-//! written to `target/experiments/BENCH_run_all.json` — per-experiment
-//! wall clock plus simulated cycles and cycles/second scraped from each
-//! experiment's run manifest — and snapshotted to the next tracked
-//! `BENCH_<n>.json`. Host-speed kernels and per-layer attribution live
-//! in `perfbench/`, not here.
+//! The 30 experiments of `hermes_bench::experiments::ALL` run in this
+//! process through `hermes_bench::run`: their points go to the
+//! `hermes-exec` engine as one batch, so a point several experiments read
+//! is simulated once, and every section is rendered from memory. A panic
+//! in an experiment's render (or `probe_demo`'s failed self-check) is not
+//! fatal: that experiment is left out of `EXPERIMENTS.md`, marked FAILED
+//! in the summary table printed at the end, listed last so it never
+//! scrolls out of view, and the exit code is 1. A panic inside a
+//! simulation ends the run. The timings are also written to
+//! `target/experiments/BENCH_run_all.json` — per experiment, the
+//! simulated cycles and host seconds of the points it was the first in
+//! the batch to compute plus the host seconds of its render, and the
+//! run's total wall clock — and snapshotted to the next tracked
+//! `BENCH_<n>.json`. With several workers the per-experiment host
+//! seconds add up to more than the total. Host-speed kernels and
+//! per-layer attribution live in `perfbench/`, not here.
 
 use std::fs;
-use std::process::Command;
+use std::process::ExitCode;
 use std::time::Instant;
 
-const EXPERIMENTS: &[&str] = &[
-    "table3",
-    "table6",
-    "fig02",
-    "fig03",
-    "fig04",
-    "fig05",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17a",
-    "fig17b",
-    "fig17c",
-    "fig17d",
-    "fig18t",
-    "fig18p",
-    "fig19",
-    "fig20",
-    "fig21",
-    "fig22",
-    "hier_sweep",
-    "tlb_sweep",
-    "sharing_sweep",
-    "filter_sweep",
-    "probe_demo",
-    "ooo_sweep",
-];
-
-/// Sums the `"cycles"` stat over a manifest's *computed* entries (cache
-/// hits cost no simulation time, so they are excluded from throughput;
-/// `"computed"` is `Provenance::Computed`'s manifest label). Tolerant by
-/// construction — the manifest writer is in-tree and emits one entry per
-/// line with a fixed key order, so a light scrape beats a JSON parser
-/// dependency; any shape surprise degrades to 0. Cycle counts are
-/// integers, and summing them as integers keeps an empty sum at `0`
-/// (an empty `f64` sum is `-0.0`, which prints as `-0`).
-fn simulated_cycles(manifest: &str) -> u64 {
-    manifest
-        .lines()
-        .filter(|l| l.contains("\"provenance\": \"computed\""))
-        .filter_map(|l| {
-            let v = l.split("\"cycles\": ").nth(1)?;
-            let end = v.find(|c: char| !c.is_ascii_digit()).unwrap_or(v.len());
-            v[..end].parse::<u64>().ok()
-        })
-        .sum()
-}
+use hermes_bench::{experiments, run, Scale};
 
 /// One experiment's row in `BENCH_run_all.json`.
 struct Row<'a> {
@@ -106,49 +59,12 @@ fn bench_json(rows: &[Row], total_wall_s: f64) -> String {
     bench
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--record")
-        .collect();
-    let exe_dir = std::env::current_exe()
-        .expect("current exe path")
-        .parent()
-        .expect("exe has a parent dir")
-        .to_path_buf();
+fn main() -> ExitCode {
+    let scale = Scale::from_args();
+    let start = Instant::now();
+    let reports = run(&experiments::ALL, &scale);
+    let total_wall_s = start.elapsed().as_secs_f64();
 
-    let total_start = Instant::now();
-    let mut timings: Vec<(&str, bool, f64)> = Vec::new();
-    for exp in EXPERIMENTS {
-        eprintln!("=== {exp} ===");
-        // Drop any section and manifest a previous run recorded, so a
-        // failing experiment comes out *missing* from EXPERIMENTS.md
-        // (with a warning below) and the perf-trajectory artifacts,
-        // instead of silently resurrecting stale numbers.
-        let _ = fs::remove_file(format!("target/experiments/{exp}.md"));
-        let _ = fs::remove_file(format!("target/experiments/{exp}.json"));
-        let mut cmd = Command::new(exe_dir.join(exp));
-        cmd.arg("--record");
-        for a in &args {
-            cmd.arg(a);
-        }
-        let start = Instant::now();
-        let ok = match cmd.status() {
-            Ok(status) => {
-                if !status.success() {
-                    eprintln!("!!! {exp} failed with {status}");
-                }
-                status.success()
-            }
-            Err(e) => {
-                eprintln!("!!! failed to spawn {exp}: {e}");
-                false
-            }
-        };
-        timings.push((exp, ok, start.elapsed().as_secs_f64()));
-    }
-
-    // Assemble EXPERIMENTS.md from whatever sections were recorded.
     let mut doc = String::from(
         "# EXPERIMENTS — paper vs. measured\n\n\
          Regenerated by `cargo run -p hermes-bench --release --bin run_all`.\n\
@@ -160,50 +76,40 @@ fn main() {
          interest are who wins, by roughly what factor, and where\n\
          crossovers fall.\n\n",
     );
-    for exp in EXPERIMENTS {
-        let path = format!("target/experiments/{exp}.md");
-        match fs::read_to_string(&path) {
-            Ok(s) => {
-                doc.push_str(&s);
-                doc.push('\n');
-            }
-            Err(e) => eprintln!("warning: missing section {path}: {e}"),
-        }
+    for section in reports.iter().filter_map(|r| r.section.as_deref()) {
+        doc.push_str(section);
+        doc.push('\n');
     }
     fs::write("EXPERIMENTS.md", &doc).expect("write EXPERIMENTS.md");
     eprintln!("wrote EXPERIMENTS.md ({} bytes)", doc.len());
 
-    // Wall-clock summary, slowest visible at a glance.
-    eprintln!();
-    eprintln!("=== run_all summary ===");
-    eprintln!("{:<10} {:>8} {:>10}", "experiment", "status", "wall");
-    for (exp, ok, secs) in &timings {
-        eprintln!(
-            "{:<10} {:>8} {:>9.1}s",
-            exp,
-            if *ok { "ok" } else { "FAILED" },
-            secs
-        );
-    }
-    eprintln!(
-        "{:<10} {:>8} {:>9.1}s",
-        "TOTAL",
-        "",
-        total_start.elapsed().as_secs_f64()
-    );
-
-    let rows: Vec<Row> = timings
+    let rows: Vec<Row> = reports
         .iter()
-        .map(|&(name, ok, wall_s)| Row {
-            name,
-            ok,
-            wall_s,
-            sim_cycles: fs::read_to_string(format!("target/experiments/{name}.json"))
-                .map(|m| simulated_cycles(&m))
-                .unwrap_or(0),
+        .map(|r| Row {
+            name: r.id,
+            ok: r.section.is_some(),
+            wall_s: r.wall.as_secs_f64(),
+            sim_cycles: r.sim_cycles,
         })
         .collect();
-    let bench = bench_json(&rows, total_start.elapsed().as_secs_f64());
+
+    // Host-time summary, slowest visible at a glance.
+    let width = rows
+        .iter()
+        .map(|r| r.name.len())
+        .chain(["experiment".len()])
+        .max()
+        .unwrap_or(0);
+    eprintln!();
+    eprintln!("=== run_all summary ===");
+    eprintln!("{:<width$} {:>8} {:>10}", "experiment", "status", "wall");
+    for r in &rows {
+        let status = if r.ok { "ok" } else { "FAILED" };
+        eprintln!("{:<width$} {:>8} {:>9.1}s", r.name, status, r.wall_s);
+    }
+    eprintln!("{:<width$} {:>8} {:>9.1}s", "TOTAL", "", total_wall_s);
+
+    let bench = bench_json(&rows, total_wall_s);
     let _ = fs::create_dir_all("target/experiments");
     match fs::write("target/experiments/BENCH_run_all.json", &bench) {
         Ok(()) => eprintln!("wrote target/experiments/BENCH_run_all.json"),
@@ -222,60 +128,18 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {snap}: {e}"),
     }
 
-    let failed: Vec<&str> = timings
-        .iter()
-        .filter(|(_, ok, _)| !ok)
-        .map(|(exp, _, _)| *exp)
-        .collect();
-    if !failed.is_empty() {
-        eprintln!();
-        eprintln!("FAILED experiments: {}", failed.join(", "));
-        std::process::exit(1);
+    let failed: Vec<&str> = rows.iter().filter(|r| !r.ok).map(|r| r.name).collect();
+    if failed.is_empty() {
+        return ExitCode::SUCCESS;
     }
+    eprintln!();
+    eprintln!("FAILED experiments: {}", failed.join(", "));
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{bench_json, simulated_cycles, Row};
-
-    /// Pins the scraper to the manifest writer's actual entry shape
-    /// (`Provenance::Computed` labels itself `"computed"`, and `cycles`
-    /// is the last stat on the line).
-    #[test]
-    fn scraper_matches_manifest_entry_shape() {
-        let manifest = concat!(
-            "  \"entries\": [\n",
-            "    {\"key\": \"a\", \"tag\": \"t\", \"workload\": \"w\", ",
-            "\"provenance\": \"computed\", \"wall_ms\": 1.5, ",
-            "\"stats\": {\"ipc\": 0.5, \"cycles\": 517268}},\n",
-            "    {\"key\": \"b\", \"tag\": \"t\", \"workload\": \"w\", ",
-            "\"provenance\": \"cache\", \"wall_ms\": 0.1, ",
-            "\"stats\": {\"ipc\": 0.5, \"cycles\": 99999}},\n",
-            "    {\"key\": \"c\", \"tag\": \"t\", \"workload\": \"w\", ",
-            "\"provenance\": \"computed\", \"wall_ms\": 1.0, ",
-            "\"stats\": {\"ipc\": 1.1, \"cycles\": 36318}},\n",
-            "  ]\n",
-        );
-        assert_eq!(simulated_cycles(manifest), 517268 + 36318);
-        assert_eq!(simulated_cycles("not a manifest"), 0);
-    }
-
-    /// A manifest whose entries are all cache hits sums to a plain `0`,
-    /// never `-0`, in the row `run_all` writes.
-    #[test]
-    fn no_computed_rows_sum_to_zero() {
-        let manifest = concat!(
-            "  \"entries\": [\n",
-            "    {\"key\": \"a\", \"tag\": \"t\", \"workload\": \"w\", ",
-            "\"provenance\": \"cache\", \"wall_ms\": 0.1, ",
-            "\"stats\": {\"ipc\": 0.5, \"cycles\": 99999}},\n",
-            "  ]\n",
-        );
-        let cycles = simulated_cycles(manifest);
-        assert_eq!(cycles, 0);
-        assert_eq!(format!("{cycles}"), "0");
-        assert_eq!(simulated_cycles(""), 0);
-    }
+    use super::{bench_json, Row};
 
     /// The artifact is valid JSON with one ok row, one failed row and
     /// no rows at all; a zero-time row's rate is a plain `0`.

@@ -1,55 +1,69 @@
-//! Shared harness for the experiment binaries.
+//! The paper's evaluation as a library: one [`Experiment`] per figure and
+//! table, and the harness that runs them.
 //!
-//! Every figure and table in the paper's evaluation has a binary in
-//! `src/bin/` (`fig02` … `fig22`, `table3`, `table6`); `run_all` executes
-//! everything and regenerates `EXPERIMENTS.md`. All binaries accept:
+//! Every figure and table of the evaluation is a module of
+//! [`experiments`] (`fig02` … `fig22`, `table3`, `table6`, and the
+//! sweeps), with a three-line binary of the same name in `src/bin/`;
+//! `run_all` runs all of them and regenerates `EXPERIMENTS.md`. All
+//! binaries accept:
 //!
 //! * `--quick` — smaller instruction windows (CI-scale),
 //! * `--full`  — the extended suite with longer windows,
-//! * `--record` — write the rendered section to `target/experiments/`,
+//! * `--record` — also write each rendered section to
+//!   `target/experiments/<id>.md`,
 //! * `--jobs N` (or `HERMES_JOBS=N`) — simulation worker threads;
 //!   defaults to all host cores, `--jobs 1` reproduces the historical
-//!   serial behaviour byte-for-byte.
+//!   serial behaviour byte-for-byte,
+//! * `--smoke` — the sweeps' CI-scale mode (tiny windows, reduced
+//!   grids; see [`smoke`]).
 //!
 //! # Execution flow
 //!
-//! The binaries do not run simulations directly. Each one declares its
-//! whole grid of `(tag, configuration, workload)` [`Point`]s, submits it
-//! to [`run_grid`] as **one** [`hermes_exec`] batch, and renders its
-//! tables from the [`Results`] that batch returns. The engine keys a
-//! point by what it simulates (trace, window, configuration contents),
-//! not by its tag, so shared baselines and relabelled repeats are
-//! simulated once; it spreads the unique points over a work-stealing
-//! thread pool and returns results in input order, so tables are
-//! identical at any `--jobs` level. [`emit`] prints the section and
+//! An experiment runs no simulations itself. It declares its whole grid
+//! of `(tag, configuration, workload)` [`Point`]s at its [`Scale`] and
+//! renders its section from the [`Results`] of that grid. [`run`] takes
+//! a list of experiments — one in a figure's own binary, all 30 in
+//! `run_all` — and submits the points of all of them to the
+//! [`hermes_exec`] engine as **one** batch. The engine keys a point by
+//! what it simulates (trace, window, configuration contents), not by its
+//! tag, so shared baselines, relabelled repeats and points two
+//! experiments share are simulated once; it spreads the unique points
+//! over a work-stealing thread pool and returns results in input order,
+//! so a section is identical at any `--jobs` level and whatever else
+//! shares its batch. [`run`] slices the outcomes back into one
+//! [`Results`] per experiment, renders each section, prints it, and
 //! writes `target/experiments/<id>.json`, a manifest listing each
-//! distinct simulation once with its wall time and provenance, and
-//! counting the deduplicated points. The engine also keeps an on-disk
-//! result cache under `target/expcache/`, through which `run_all`'s
-//! children reuse each other's points; a binary never depends on it to
-//! read back the results of its own batch.
+//! distinct simulation of the experiment once with its wall time and
+//! provenance, and counting its points that shared a result computed
+//! earlier in the batch. The engine also keeps an on-disk result cache
+//! under `target/expcache/`, which serves points an earlier run already
+//! simulated; no run depends on it to read back its own batch.
 //!
 //! Harness entry points:
 //!
 //! * [`cross`] — every configuration × every workload, as grid points;
-//! * [`run_grid`] — simulates a grid and returns its [`Results`];
+//! * [`run`] — simulates and renders a list of experiments as one batch;
+//! * [`main`] — the `main` of an experiment's own binary;
 //! * [`Results::get`] / [`Results::suite`] — one point, or one tag
-//!   across a list of workloads (the shape [`speedups`] takes);
-//! * [`emit`] — renders a section and writes its manifest.
+//!   across a list of workloads (the shape [`speedups`] takes).
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hermes::{HermesConfig, PredictorKind};
-use hermes_exec::{Engine, Job, Manifest, Outcome};
+use hermes_exec::{Engine, Job, Manifest, Outcome, Provenance};
 use hermes_sim::SystemConfig;
 use hermes_trace::{suite, Category, WorkloadSpec};
 
 pub use hermes_exec::{RunLite, CACHE_SCHEMA_VERSION};
 pub use hermes_sim::report::{category_geomeans, category_means, f3, pct, speedup, Table};
+
+pub mod experiments;
 
 /// Simulation scale selected on the command line.
 #[derive(Debug, Clone)]
@@ -163,6 +177,12 @@ fn parse_jobs_flag(args: &[String]) -> Option<usize> {
     jobs
 }
 
+/// Whether the command line asks for `--smoke`, the CI-scale mode of the
+/// sweeps (tiny windows, reduced grids); other experiments ignore it.
+pub fn smoke() -> bool {
+    std::env::args().any(|a| a == "--smoke")
+}
+
 /// Process start anchor for manifest wall times.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -185,8 +205,41 @@ pub fn cross(configs: &[(String, SystemConfig)], specs: &[WorkloadSpec]) -> Vec<
         .collect()
 }
 
-/// The outcomes of one [`run_grid`] batch, looked up by (tag, workload).
-#[derive(Debug, Default)]
+/// One figure or table of the evaluation: the grid it simulates and how
+/// it renders the results.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Section id, also the name of the experiment's binary (`fig09`).
+    pub id: &'static str,
+    /// Section title.
+    pub title: &'static str,
+    /// The experiment's scale, from the command line's. An experiment
+    /// that shortens its window or swaps its suite does it here; the
+    /// rest use [`Scale::clone`]. Its window is every point's window.
+    pub scale: fn(&Scale) -> Scale,
+    /// Every point the experiment reads, at its scale.
+    pub points: fn(&Scale) -> Vec<Point>,
+    /// The section body, from the results of the experiment's points at
+    /// its scale. A panic marks the experiment failed.
+    pub render: fn(&Results, &Scale) -> String,
+}
+
+/// What [`run`] reports of one experiment.
+#[derive(Debug)]
+pub struct Report {
+    /// The experiment's id.
+    pub id: &'static str,
+    /// The printed section; `None` if the render panicked.
+    pub section: Option<String>,
+    /// Simulated cycles of the points this experiment was the first in
+    /// the batch to compute (not those served by the result cache).
+    pub sim_cycles: u64,
+    /// Host time of those points plus the experiment's render.
+    pub wall: Duration,
+}
+
+/// The outcomes of one experiment's grid, looked up by (tag, workload).
+#[derive(Debug)]
 pub struct Results {
     outcomes: Vec<Outcome>,
     by_label: HashMap<(String, String), usize>,
@@ -215,40 +268,103 @@ impl Results {
     }
 }
 
-/// Simulates an experiment's whole grid as one engine batch at the
-/// scale's window, across `scale.jobs` workers.
+/// Simulates `experiments` as one engine batch across `scale.jobs`
+/// workers, then renders, prints and records each section in order.
 ///
 /// # Panics
 ///
-/// Panics if one (tag, workload) label names two different simulations.
-pub fn run_grid(points: Vec<Point>, scale: &Scale) -> Results {
-    run_grid_on(&Engine::new(scale.jobs), points, scale)
+/// A simulation panic ends the run, and so does a (tag, workload) label
+/// that names two different simulations within one experiment. A panic
+/// in an experiment's render does not: its report has no section.
+pub fn run(experiments: &[Experiment], scale: &Scale) -> Vec<Report> {
+    run_on(&Engine::new(scale.jobs), experiments, scale)
 }
 
-fn run_grid_on(engine: &Engine, points: Vec<Point>, scale: &Scale) -> Results {
-    let jobs: Vec<Job> = points
-        .into_iter()
-        .map(|(tag, cfg, spec)| Job::new(tag, cfg, spec, scale.warmup, scale.instr))
+/// The `main` of an experiment's own binary: [`run`]s it at the command
+/// line's scale, and fails if its render does.
+pub fn main(experiment: Experiment) -> ExitCode {
+    match &run(&[experiment], &Scale::from_args())[0].section {
+        Some(_) => ExitCode::SUCCESS,
+        None => ExitCode::FAILURE,
+    }
+}
+
+fn run_on(engine: &Engine, experiments: &[Experiment], scale: &Scale) -> Vec<Report> {
+    let scales: Vec<Scale> = experiments.iter().map(|e| (e.scale)(scale)).collect();
+    let grids = experiments
+        .iter()
+        .zip(&scales)
+        .map(|(e, s)| ((e.points)(s), s))
         .collect();
-    let mut by_label: HashMap<(String, String), usize> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match by_label.entry((job.tag.clone(), job.spec.name.clone())) {
-            Entry::Occupied(first) => assert_eq!(
-                jobs[*first.get()].key(),
-                job.key(),
-                "grid label {} x {} names two different simulations",
-                job.tag,
-                job.spec.name
-            ),
-            Entry::Vacant(slot) => {
-                slot.insert(i);
+    let results = run_grids(engine, grids);
+    experiments
+        .iter()
+        .zip(&scales)
+        .zip(&results)
+        .map(|((e, s), r)| {
+            let start = Instant::now();
+            let section = match panic::catch_unwind(AssertUnwindSafe(|| (e.render)(r, s))) {
+                Ok(body) => Some(emit(e.id, e.title, &body, s, r)),
+                Err(_) => {
+                    eprintln!("!!! {} failed: its render panicked", e.id);
+                    None
+                }
+            };
+            let computed: Vec<&Outcome> = r
+                .outcomes
+                .iter()
+                .filter(|o| o.provenance == Provenance::Computed)
+                .collect();
+            Report {
+                id: e.id,
+                section,
+                sim_cycles: computed.iter().map(|o| o.result.cycles as u64).sum(),
+                wall: computed.iter().map(|o| o.wall).sum::<Duration>() + start.elapsed(),
             }
+        })
+        .collect()
+}
+
+/// Simulates several grids, each at its own scale's window, as one
+/// engine batch, and returns one [`Results`] per grid.
+///
+/// # Panics
+///
+/// Panics if one (tag, workload) label names two different simulations
+/// within a grid. Labels are per grid: two grids may give one tag to
+/// different configurations.
+fn run_grids(engine: &Engine, grids: Vec<(Vec<Point>, &Scale)>) -> Vec<Results> {
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut labels = Vec::new();
+    for (points, scale) in grids {
+        let start = jobs.len();
+        let mut by_label: HashMap<(String, String), usize> = HashMap::new();
+        for (tag, cfg, spec) in points {
+            let job = Job::new(tag, cfg, spec, scale.warmup, scale.instr);
+            match by_label.entry((job.tag.clone(), job.spec.name.clone())) {
+                Entry::Occupied(first) => assert_eq!(
+                    jobs[start + *first.get()].key(),
+                    job.key(),
+                    "grid label {} x {} names two different simulations",
+                    job.tag,
+                    job.spec.name
+                ),
+                Entry::Vacant(slot) => {
+                    slot.insert(jobs.len() - start);
+                }
+            }
+            jobs.push(job);
         }
+        labels.push((jobs.len() - start, by_label));
     }
-    Results {
-        outcomes: engine.run_batch(&jobs),
-        by_label,
-    }
+    let mut outcomes = engine.run_batch(&jobs).into_iter();
+    labels
+        .into_iter()
+        .map(|(n, by_label)| Results {
+            outcomes: outcomes.by_ref().take(n).collect(),
+            by_label,
+        })
+        .collect()
 }
 
 /// Standard named configurations used across many figures.
@@ -304,17 +420,16 @@ pub fn speedups(
         .collect()
 }
 
-/// Renders a figure section: prints to stdout, optionally records it
-/// under `target/experiments/<id>.md`, and always writes the JSON run
-/// manifest `target/experiments/<id>.json` of `results` (pass
-/// `&Results::default()` for a section that simulates nothing).
-pub fn emit(id: &str, title: &str, body: &str, scale: &Scale, results: &Results) {
+/// Prints a section, records it under `target/experiments/<id>.md` if
+/// asked to, writes the JSON run manifest `target/experiments/<id>.json`
+/// of `results`, and returns the section.
+fn emit(id: &str, title: &str, body: &str, scale: &Scale, results: &Results) -> String {
     let section = format!("## {id}: {title}\n\n{body}\n");
     println!("{section}");
     let dir = PathBuf::from("target/experiments");
     if scale.record {
         let _ = fs::create_dir_all(&dir);
-        let _ = fs::write(dir.join(format!("{id}.md")), section);
+        let _ = fs::write(dir.join(format!("{id}.md")), &section);
     }
     let manifest = Manifest::from_outcomes(id, scale.jobs, epoch().elapsed(), &results.outcomes);
     match manifest.write(&dir) {
@@ -325,6 +440,7 @@ pub fn emit(id: &str, title: &str, body: &str, scale: &Scale, results: &Results)
         ),
         Err(e) => eprintln!("warning: failed to write manifest for {id}: {e}"),
     }
+    section
 }
 
 /// Builds a markdown table of per-category geomean speedups, one row per
@@ -419,34 +535,90 @@ mod tests {
     #[test]
     fn run_grid_reads_back_by_tag_and_workload() {
         let scale = tiny_scale();
+        let mut half = tiny_scale();
+        half.warmup /= 2;
+        half.instr /= 2;
         let (nopf_tag, nopf) = configs::nopf();
         let (pythia_tag, pythia) = configs::pythia();
         let labelled = [
             (nopf_tag.to_string(), nopf.clone()),
             (pythia_tag.to_string(), pythia),
             // The baseline again under another tag: one simulation.
-            ("nopf-again".to_string(), nopf),
+            ("nopf-again".to_string(), nopf.clone()),
         ];
+        // A second experiment gives the `pythia` tag to another
+        // configuration and reads the baseline under a tag of its own; a
+        // third reads the baseline at half the window.
+        let other = [
+            (
+                pythia_tag.to_string(),
+                SystemConfig::baseline_1c().with_rob(1024),
+            ),
+            ("base".to_string(), nopf.clone()),
+        ];
+        let halved = [(nopf_tag.to_string(), nopf.clone())];
+        let grids = || {
+            vec![
+                (cross(&labelled, &scale.suite), &scale),
+                (cross(&other, &scale.suite), &scale),
+                (cross(&halved, &half.suite), &half),
+            ]
+        };
         let (engine, root) = scratch_engine("grid");
-        let results = run_grid_on(&engine, cross(&labelled, &scale.suite), &scale);
+        let split = run_grids(&engine, grids());
+
+        // Each experiment run alone reads what it reads in the shared batch.
+        for (i, (grid, s)) in grids().into_iter().enumerate() {
+            let (alone_engine, alone_root) = scratch_engine(&format!("alone{i}"));
+            let alone = run_grids(&alone_engine, vec![(grid.clone(), s)]).remove(0);
+            assert_eq!(alone.by_label, split[i].by_label);
+            for (tag, _, spec) in &grid {
+                assert_eq!(alone.get(tag, spec), split[i].get(tag, spec));
+            }
+            let _ = fs::remove_dir_all(alone_root);
+        }
+
         let (direct, direct_root) = scratch_engine("direct");
+        let simulate = |cfg: &SystemConfig, spec: &WorkloadSpec, s: &Scale| {
+            let job = Job::new("direct", cfg.clone(), spec.clone(), s.warmup, s.instr);
+            direct.run_batch(&[job]).remove(0).result
+        };
         for (tag, cfg) in &labelled {
             for spec in &scale.suite {
-                let job = Job::new(tag, cfg.clone(), spec.clone(), scale.warmup, scale.instr);
-                let want = &direct.run_batch(&[job])[0].result;
-                assert_eq!(results.get(tag, spec), want, "{tag} x {}", spec.name);
+                let want = simulate(cfg, spec, &scale);
+                assert_eq!(split[0].get(tag, spec), &want, "{tag} x {}", spec.name);
             }
-            let suite = results.suite(tag, &scale.suite);
+            let suite = split[0].suite(tag, &scale.suite);
             let names: Vec<&str> = suite.iter().map(|(s, _)| s.name.as_str()).collect();
             let want: Vec<&str> = scale.suite.iter().map(|s| s.name.as_str()).collect();
             assert_eq!(names, want, "suite() keeps the order it is asked for");
         }
-        let manifest = Manifest::from_outcomes("grid", 2, Duration::ZERO, &results.outcomes);
-        assert_eq!(manifest.entries.len(), 2 * scale.suite.len());
-        assert_eq!(
-            manifest.count(hermes_exec::Provenance::Deduped),
-            scale.suite.len()
-        );
+        for spec in &scale.suite {
+            assert_eq!(
+                split[1].get(pythia_tag, spec),
+                &simulate(&other[0].1, spec, &scale)
+            );
+            assert_eq!(split[2].get(nopf_tag, spec), &simulate(&nopf, spec, &half));
+        }
+
+        // The baseline the first two experiments share is computed once,
+        // by the first; the halved window is another simulation.
+        let n = scale.suite.len();
+        let computed: Vec<usize> = split
+            .iter()
+            .map(|r| {
+                r.outcomes
+                    .iter()
+                    .filter(|o| o.provenance == Provenance::Computed)
+                    .count()
+            })
+            .collect();
+        assert_eq!(computed, [2 * n, n, n]);
+        for (r, entries) in split.iter().zip([2 * n, n, n]) {
+            let manifest = Manifest::from_outcomes("grid", 2, Duration::ZERO, &r.outcomes);
+            assert_eq!(manifest.entries.len(), entries);
+            assert_eq!(manifest.deduped, r.outcomes.len() - entries);
+        }
         let _ = fs::remove_dir_all(root);
         let _ = fs::remove_dir_all(direct_root);
     }
@@ -465,7 +637,7 @@ mod tests {
             ),
         ];
         let (engine, _) = scratch_engine("reused-label");
-        run_grid_on(&engine, grid, &scale);
+        run_grids(&engine, vec![(grid, &scale)]);
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! silently reused — bump [`CACHE_SCHEMA_VERSION`] whenever a change
 //! alters simulation results or what a record field means.
 //!
-//! Concurrency: multiple threads *and* multiple processes (e.g. `run_all`
-//! children) may share one cache directory. A sidecar `<key>.lock` file
+//! Concurrency: multiple threads *and* multiple processes (e.g. two
+//! figure binaries started at once) may share one cache directory. One
+//! batch never needs the cache to share work within itself: the engine
+//! deduplicates a batch's points before they reach the cache, and
+//! `run_all` submits every experiment's points as one batch. The cache
+//! serves what earlier runs computed. A sidecar `<key>.lock` file
 //! created with `O_EXCL` serialises computation per key: the winner
 //! simulates and publishes the entry with a write-to-temp + atomic-rename,
 //! losers poll until the entry appears and then read it, so no point is

@@ -1,21 +1,21 @@
 //! `hermes-exec` — the parallel experiment-execution engine.
 //!
 //! The paper's evaluation is a large grid of *independent*
-//! `(configuration, trace, window)` simulations: 24 figure/table binaries
-//! sweeping dozens of workloads each, with heavy overlap (most figures
-//! normalise to the same baselines). This crate turns that grid into a
-//! job batch and executes it:
+//! `(configuration, trace, window)` simulations: 30 experiments sweeping
+//! dozens of workloads each, with heavy overlap (most figures normalise
+//! to the same baselines). `hermes-bench` turns the grids of any number
+//! of experiments into one job batch, and this crate executes it:
 //!
 //! * **[`Engine::run_batch`]** — takes a batch of [`Job`]s, deduplicates
 //!   points that share a cache key, runs the unique ones on a
-//!   work-stealing `std::thread` pool (see [`run_indexed`]), and returns
-//!   [`Outcome`]s in *input order*, so a parallel run produces
-//!   byte-identical tables to `jobs = 1`.
-//! * **[`ResultCache`]** — the on-disk result cache (formerly inlined in
-//!   `hermes-bench`), now versioned with [`CACHE_SCHEMA_VERSION`] and
-//!   made multi-process-safe with sidecar lock files, so `run_all` and
-//!   ad-hoc figure invocations can share `target/expcache/` without
-//!   corruption or double work.
+//!   work-stealing `std::thread` pool, and returns [`Outcome`]s in
+//!   *input order*, so a parallel run produces byte-identical tables to
+//!   `jobs = 1`.
+//! * **[`ResultCache`]** — the on-disk result cache under
+//!   `target/expcache/`, versioned with [`CACHE_SCHEMA_VERSION`] and
+//!   safe across processes with sidecar lock files, so a later run (or
+//!   two runs at once) reuses earlier results without corruption or
+//!   double work.
 //! * **[`Manifest`]** — structured JSON run manifests
 //!   (`target/experiments/<id>.json`) with per-job wall time, cache
 //!   hit/miss provenance, and measured stats.
@@ -25,7 +25,7 @@
 //! use hermes_sim::SystemConfig;
 //! use hermes_trace::suite;
 //!
-//! let engine = Engine::new(8); // or Engine::from_env()
+//! let engine = Engine::new(8); // or Engine::new(hermes_exec::jobs_from_env(None))
 //! let jobs: Vec<Job> = suite::default_suite()
 //!     .into_iter()
 //!     .map(|spec| Job::new("pythia", SystemConfig::baseline_1c(), spec, 10_000, 40_000))
@@ -48,7 +48,6 @@ mod record;
 
 pub use cache::{ResultCache, CACHE_SCHEMA_VERSION};
 pub use manifest::{Manifest, ManifestEntry};
-pub use pool::run_indexed;
 pub use record::RunLite;
 
 /// One simulation point: a configuration tag, the configuration itself,
@@ -184,27 +183,12 @@ impl Engine {
         }
     }
 
-    /// Worker count from `HERMES_JOBS`, defaulting to all host cores.
-    pub fn from_env() -> Self {
-        Self::new(jobs_from_env(None))
-    }
-
     /// Suppresses per-simulation progress lines and lock diagnostics on
     /// stderr.
     pub fn quiet(mut self) -> Self {
         self.verbose = false;
         self.cache = self.cache.quiet();
         self
-    }
-
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The cache this engine reads and writes.
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
     }
 
     /// Executes a batch and returns outcomes in input order.

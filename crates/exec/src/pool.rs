@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// index order, regardless of execution order. With `workers <= 1` the
 /// calls happen inline on the caller's thread in index order — the
 /// deterministic serial baseline.
-pub fn run_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
+pub(crate) fn run_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
