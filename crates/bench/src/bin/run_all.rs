@@ -15,10 +15,12 @@
 //! `target/experiments/BENCH_run_all.json` — per experiment, the
 //! simulated cycles and host seconds of the points it was the first in
 //! the batch to compute plus the host seconds of its render, and the
-//! run's total wall clock — and snapshotted to the next tracked
-//! `BENCH_<n>.json`. With several workers the per-experiment host
-//! seconds add up to more than the total. Host-speed kernels and
-//! per-layer attribution live in `perfbench/`, not here.
+//! run's total wall clock. With several workers the per-experiment host
+//! seconds add up to more than the total. Recording a point of the perf
+//! trajectory is a deliberate copy of that file to the next free
+//! `BENCH_<n>.json` at the repo root; the run itself writes nothing there
+//! but `EXPERIMENTS.md`. Host-speed kernels and per-layer attribution
+//! live in `perfbench/`, not here.
 
 use std::fs;
 use std::process::ExitCode;
@@ -114,18 +116,6 @@ fn main() -> ExitCode {
     match fs::write("target/experiments/BENCH_run_all.json", &bench) {
         Ok(()) => eprintln!("wrote target/experiments/BENCH_run_all.json"),
         Err(e) => eprintln!("warning: could not write BENCH_run_all.json: {e}"),
-    }
-
-    // Also snapshot the timings to a tracked `BENCH_<n>.json` at the repo
-    // root (next unused index), so the perf trajectory across PRs lives
-    // in git history rather than only in CI artifacts.
-    let next = (1..)
-        .find(|n| !std::path::Path::new(&format!("BENCH_{n}.json")).exists())
-        .expect("unbounded range");
-    let snap = format!("BENCH_{next}.json");
-    match fs::write(&snap, &bench) {
-        Ok(()) => eprintln!("wrote {snap}"),
-        Err(e) => eprintln!("warning: could not write {snap}: {e}"),
     }
 
     let failed: Vec<&str> = rows.iter().filter(|r| !r.ok).map(|r| r.name).collect();

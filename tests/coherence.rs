@@ -5,7 +5,11 @@
 //! directory), equivalence guarantees (`coherence: None` untouched,
 //! single-core `Some` ≡ `None`, fast-forward invisibility) — plus the
 //! writeback-path training fix: a dirty victim written back *into* the
-//! LLC is not a fill returning to any core and must not train TTP.
+//! LLC is not a fill returning to any core and must not train TTP. The
+//! equivalences compare [`common::digest`], every counter the run
+//! reports.
+
+mod common;
 
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_cache::{CacheConfig, CoherenceConfig, Mesi, ReplacementKind};
@@ -13,59 +17,9 @@ use hermes_repro::hermes_cpu::{LoadIssue, MemoryPort, StoreIssue};
 use hermes_repro::hermes_prefetch::PrefetcherKind;
 use hermes_repro::hermes_sim::hierarchy::Hierarchy;
 use hermes_repro::hermes_sim::translate::translate;
-use hermes_repro::hermes_sim::{system::run_one, RunStats, System, SystemConfig};
+use hermes_repro::hermes_sim::{System, SystemConfig};
 use hermes_repro::hermes_trace::suite;
 use hermes_repro::hermes_types::{Cycle, LineAddr, VirtAddr, SHARED_BASE};
-
-/// Canonical rendering of every deterministic counter in a [`RunStats`],
-/// coherence counters included.
-fn digest(r: &RunStats) -> String {
-    let mut s = format!("total_cycles={}", r.total_cycles);
-    for c in &r.cores {
-        s.push_str(&format!(
-            ";[{} cyc={} ret={} ld={} st={} l1={} l2={} llc={} dram={} sco={} hacc={} hmiss={} hreq={} pfi={} pfu={} l1a={} l2a={} ols={} ol={} tp={} fp={} fn={} tn={} cup={} cinv={} cfwd={} cback={} su={} sw={}]",
-            c.workload,
-            c.cycles,
-            c.instructions,
-            c.core.loads,
-            c.core.stores,
-            c.core.served_l1,
-            c.core.served_l2,
-            c.core.served_llc,
-            c.core.served_dram,
-            c.core.stall_cycles_offchip,
-            c.hier.llc_demand_accesses,
-            c.hier.llc_demand_misses,
-            c.hier.hermes_requests,
-            c.hier.prefetches_issued,
-            c.hier.prefetches_useful,
-            c.hier.l1_accesses,
-            c.hier.l2_accesses,
-            c.hier.offchip_latency_sum,
-            c.hier.offchip_loads,
-            c.pred.tp,
-            c.pred.fp,
-            c.pred.fn_,
-            c.pred.tn,
-            c.hier.coh_upgrades,
-            c.hier.coh_invalidations,
-            c.hier.coh_dirty_forwards,
-            c.hier.coh_back_invalidations,
-            c.hier.spec_reads_useful,
-            c.hier.spec_reads_wasted,
-        ));
-    }
-    s.push_str(&format!(
-        ";dram[rd={} rp={} rh={} w={} merged={} dropped={}]",
-        r.dram.reads_demand,
-        r.dram.reads_prefetch,
-        r.dram.reads_hermes,
-        r.dram.writes,
-        r.dram.demand_merged_into_hermes,
-        r.dram.hermes_dropped,
-    ));
-    s
-}
 
 /// Ticks the hierarchy until it is fully quiescent (no events, retries,
 /// DRAM reads, walks, or outstanding MSHRs); returns the quiescent cycle.
@@ -602,11 +556,11 @@ fn single_core_coherence_vacuous_with_coh_knobs_on() {
             .with_filter();
         let base = SystemConfig::baseline_1c().with_hermes(hermes);
         let with = base.clone().with_coherence(CoherenceConfig::baseline());
-        let a = run_one(base, spec, 3_000, 8_000);
-        let b = run_one(with, spec, 3_000, 8_000);
+        let one = std::slice::from_ref(spec);
+        let (a, _) = common::run(base, one, 3_000, 8_000);
+        let (b, _) = common::run(with, one, 3_000, 8_000);
         assert_eq!(
-            digest(&a),
-            digest(&b),
+            a, b,
             "single-core coherence must stay vacuous with coh knobs on for {}",
             spec.name
         );
@@ -622,11 +576,11 @@ fn single_core_coherence_is_cycle_exact() {
         let base =
             SystemConfig::baseline_1c().with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
         let with = base.clone().with_coherence(CoherenceConfig::baseline());
-        let a = run_one(base, spec, 3_000, 8_000);
-        let b = run_one(with, spec, 3_000, 8_000);
+        let one = std::slice::from_ref(spec);
+        let (a, _) = common::run(base, one, 3_000, 8_000);
+        let (b, _) = common::run(with, one, 3_000, 8_000);
         assert_eq!(
-            digest(&a),
-            digest(&b),
+            a, b,
             "single-core coherence must be vacuous for {}",
             spec.name
         );
@@ -688,11 +642,10 @@ fn fast_forward_is_cycle_exact_with_coherence() {
             }
             c
         };
-        let off = System::new(cfg(false), &specs).run(2_000, 6_000);
-        let on = System::new(cfg(true), &specs).run(2_000, 6_000);
+        let (off, _) = common::run(cfg(false), &specs, 2_000, 6_000);
+        let (on, _) = common::run(cfg(true), &specs, 2_000, 6_000);
         assert_eq!(
-            digest(&off),
-            digest(&on),
+            off, on,
             "fast-forward changed coherent results (hermes={hermes})"
         );
     }

@@ -5,6 +5,8 @@
 //! meaningful — predictor quality ordering, Hermes' latency win on
 //! irregular code, coherence of the drop rule, and determinism.
 
+mod common;
+
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_prefetch::PrefetcherKind;
 use hermes_repro::hermes_sim::{system::run_one, RunStats, SystemConfig};
@@ -214,11 +216,9 @@ fn multicore_contention_hurts_ipc_but_hermes_still_helps() {
 fn determinism_across_full_system() {
     let spec = &suite::smoke_suite()[3]; // graph workload, RNG heavy
     let cfg = SystemConfig::baseline_1c().with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-    let a = run_one(cfg.clone(), spec, 5_000, 20_000);
-    let b = run_one(cfg, spec, 5_000, 20_000);
-    assert_eq!(a.cores[0].cycles, b.cores[0].cycles);
-    assert_eq!(a.dram.total_reads(), b.dram.total_reads());
-    assert_eq!(a.cores[0].pred, b.cores[0].pred);
+    let (a, _) = common::run(cfg.clone(), std::slice::from_ref(spec), 5_000, 20_000);
+    let (b, _) = common::run(cfg, std::slice::from_ref(spec), 5_000, 20_000);
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -3,71 +3,16 @@
 //!
 //! The probe's contract is that it is *invisible*: attaching it to any
 //! configuration must reproduce every deterministic counter bit-for-bit,
-//! on single-core and multi-core coherent runs alike. The digests here
-//! cover the core pipeline, predictor confusion, DRAM, vm, coherence,
-//! and speculative-read counters — everything the simulator reports.
+//! on single-core and multi-core coherent runs alike. The checks compare
+//! [`common::digest`], every counter the simulator reports.
+
+mod common;
 
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_probe::{validate_json, LatClass, ProbeConfig};
-use hermes_repro::hermes_sim::{system::run_one, RunStats, System, SystemConfig};
+use hermes_repro::hermes_sim::{system::run_one, SystemConfig};
 use hermes_repro::hermes_trace::suite;
 use hermes_repro::hermes_vm::VmConfig;
-
-/// Canonical rendering of every deterministic counter in a [`RunStats`],
-/// including the vm, coherence, and spec-read counters the older golden
-/// digests predate.
-fn digest(r: &RunStats) -> String {
-    let mut s = format!("total_cycles={}", r.total_cycles);
-    for c in &r.cores {
-        s.push_str(&format!(
-            ";[{} cyc={} ret={} ld={} st={} l1={} l2={} llc={} dram={} sco={} scl={} hacc={} hmiss={} hreq={} pfi={} pfu={} ols={} ol={} tp={} fp={} fn={} tn={} da={} dm={} w={} wc={} cu={} ci={} cdf={} cbi={} sru={} srw={}]",
-            c.workload,
-            c.cycles,
-            c.instructions,
-            c.core.loads,
-            c.core.stores,
-            c.core.served_l1,
-            c.core.served_l2,
-            c.core.served_llc,
-            c.core.served_dram,
-            c.core.stall_cycles_offchip,
-            c.core.stall_cycles_onchip_load,
-            c.hier.llc_demand_accesses,
-            c.hier.llc_demand_misses,
-            c.hier.hermes_requests,
-            c.hier.prefetches_issued,
-            c.hier.prefetches_useful,
-            c.hier.offchip_latency_sum,
-            c.hier.offchip_loads,
-            c.pred.tp,
-            c.pred.fp,
-            c.pred.fn_,
-            c.pred.tn,
-            c.hier.dtlb_accesses,
-            c.hier.dtlb_misses,
-            c.hier.walks_completed,
-            c.hier.walk_cycles_sum,
-            c.hier.coh_upgrades,
-            c.hier.coh_invalidations,
-            c.hier.coh_dirty_forwards,
-            c.hier.coh_back_invalidations,
-            c.hier.spec_reads_useful,
-            c.hier.spec_reads_wasted,
-        ));
-    }
-    s.push_str(&format!(
-        ";dram[rd={} rp={} rh={} w={} hit={} conf={} merged={} dropped={}]",
-        r.dram.reads_demand,
-        r.dram.reads_prefetch,
-        r.dram.reads_hermes,
-        r.dram.writes,
-        r.dram.row_hits,
-        r.dram.row_conflicts,
-        r.dram.demand_merged_into_hermes,
-        r.dram.hermes_dropped,
-    ));
-    s
-}
 
 /// An intrusive probe configuration: dense sampling and a short interval
 /// so every hook path fires many times within a smoke window.
@@ -95,11 +40,12 @@ fn probe_is_invisible_1core() {
     ];
     for (name, cfg) in configs {
         for spec in [&smoke[0], &smoke[1]] {
-            let off = run_one(cfg.clone(), spec, 3_000, 8_000);
-            let on = run_one(cfg.clone().with_probe(dense_probe()), spec, 3_000, 8_000);
+            let one = std::slice::from_ref(spec);
+            let (off_digest, off) = common::run(cfg.clone(), one, 3_000, 8_000);
+            let (on_digest, on) =
+                common::run(cfg.clone().with_probe(dense_probe()), one, 3_000, 8_000);
             assert_eq!(
-                digest(&off),
-                digest(&on),
+                off_digest, on_digest,
                 "probe perturbed {name}/{}",
                 spec.name
             );
@@ -131,12 +77,11 @@ fn probe_is_invisible_4core_coherent() {
         c
     };
     for spec in &specs {
-        let off = System::new(cfg(None), std::slice::from_ref(spec)).run(2_000, 6_000);
-        let on =
-            System::new(cfg(Some(dense_probe())), std::slice::from_ref(spec)).run(2_000, 6_000);
+        let one = std::slice::from_ref(spec);
+        let (off_digest, off) = common::run(cfg(None), one, 2_000, 6_000);
+        let (on_digest, on) = common::run(cfg(Some(dense_probe())), one, 2_000, 6_000);
         assert_eq!(
-            digest(&off),
-            digest(&on),
+            off_digest, on_digest,
             "probe perturbed 4-core coherent run of {}",
             spec.name
         );

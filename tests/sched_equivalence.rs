@@ -206,3 +206,24 @@ fn calendar_matches_tick_4core_ooo() {
     .with_core_model(CoreModel::OoO(OooConfig::baseline()));
     assert_equivalent("4c-ooo-mix", cfg, &slow_fast_mix(), 1_000, 3_000);
 }
+
+#[test]
+fn calendar_matches_tick_4core_mix_fp_stalls() {
+    // The legacy core charges an idle span spent waiting on memory to
+    // the ROB head's load, which outlives the warmup reset, so the
+    // legacy rows above cannot see a catch-up missing at that reset. Here
+    // `streamcluster-like` chains its distance terms through one FP
+    // accumulator: a core idle at the warmup boundary waits on an
+    // operand, and its owed cycles are counted as `stall_cycles_other`
+    // in whichever window the catch-up runs.
+    let mut mix = slow_fast_mix();
+    mix[1] = suite::default_suite()
+        .into_iter()
+        .find(|s| s.name == "streamcluster-like")
+        .expect("suite lost trace streamcluster-like");
+    let cfg = SystemConfig {
+        cores: 4,
+        ..SystemConfig::baseline_1c()
+    };
+    assert_equivalent("4c-mix-fp", cfg, &mix, 1_000, 3_000);
+}
