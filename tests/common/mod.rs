@@ -1,9 +1,12 @@
 //! Helpers shared by the integration tests: one digest over every
-//! counter a run reports.
+//! counter a run reports, and the one table of absolute goldens
+//! ([`golden`]).
 //!
 //! Each test binary compiles this module on its own and uses only part
 //! of it, hence the `dead_code` allowance.
 #![allow(dead_code)]
+
+pub mod golden;
 
 use std::fmt::Write;
 

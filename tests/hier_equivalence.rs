@@ -5,10 +5,11 @@
 //! with address translation on, and on several cores: it may only
 //! change wall-clock time. Each check compares [`common::digest`], every
 //! counter the run reports. The default topology's absolute results are
-//! pinned in `golden.rs`.
+//! rows of the golden table ([`common::golden::GOLDEN`]).
 
 mod common;
 
+use common::golden;
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_cache::{CacheConfig, ReplacementKind};
 use hermes_repro::hermes_sim::{system::run_one, SystemConfig};
@@ -31,6 +32,21 @@ fn four_level() -> SystemConfig {
         CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
         base.levels[2].clone(),
     ])
+}
+
+/// The default three-level hierarchy, Pythia with and without Hermes-O
+/// (POPET), on each smoke trace at warmup 5 000 / measure 20 000.
+#[test]
+fn generic_hierarchy_matches_pre_refactor_goldens() {
+    let rows = golden::check(|r| r.0.starts_with("pythia") && r.2 == 1 && r.3 == 5_000);
+    assert_eq!(rows, 6);
+}
+
+/// A 2-core mix (smoke-chase + smoke-stream, shared LLC contention) at
+/// warmup 3 000 / measure 10 000.
+#[test]
+fn generic_hierarchy_matches_pre_refactor_goldens_2core() {
+    assert_eq!(golden::check(|r| r.0 == "pythia" && r.2 == 2), 1);
 }
 
 #[test]

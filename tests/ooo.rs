@@ -9,10 +9,11 @@
 //! still pays off, and deeper ROBs buy measurable memory-level
 //! parallelism. The equivalences compare [`common::digest`], every
 //! counter the run reports; the absolute results of both core models
-//! are pinned in `golden.rs`.
+//! are rows of the golden table ([`common::golden::GOLDEN`]).
 
 mod common;
 
+use common::golden;
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_cache::CoherenceConfig;
 use hermes_repro::hermes_cpu::{CoreModel, OooConfig};
@@ -21,6 +22,15 @@ use hermes_repro::hermes_trace::suite;
 
 fn ooo(cfg: SystemConfig) -> SystemConfig {
     cfg.with_core_model(CoreModel::OoO(OooConfig::baseline()))
+}
+
+/// The OoO core at the baseline 128/72 LQ/SQ (dispatch blocked on a
+/// full RS most cycles) and at 16/8 (blocked on a full LQ/SQ), with and
+/// without Hermes-O (POPET), on smoke-pagerank, smoke-stream and
+/// spill-reload at warmup 3 000 / measure 8 000.
+#[test]
+fn ooo_core_matches_pinned_goldens() {
+    assert_eq!(golden::check(|r| r.0.starts_with("ooo")), 12);
 }
 
 #[test]
