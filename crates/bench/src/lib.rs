@@ -28,9 +28,9 @@
 //! what it simulates (trace, window, configuration contents), not by its
 //! tag, so shared baselines, relabelled repeats and points two
 //! experiments share are simulated once; it spreads the unique points
-//! over a work-stealing thread pool and returns results in input order,
-//! so a section is identical at any `--jobs` level and whatever else
-//! shares its batch. [`run`] slices the outcomes back into one
+//! over a thread pool and returns results in input order, so a section
+//! is identical at any `--jobs` level and whatever else shares its
+//! batch. [`run`] slices the outcomes back into one
 //! [`Results`] per experiment, renders each section, prints it, and
 //! writes `target/experiments/<id>.json`, a manifest listing each
 //! distinct simulation of the experiment once with its wall time and
@@ -60,7 +60,7 @@ use hermes_exec::{Engine, Job, Manifest, Outcome, Provenance};
 use hermes_sim::SystemConfig;
 use hermes_trace::{suite, Category, WorkloadSpec};
 
-pub use hermes_exec::{RunLite, CACHE_SCHEMA_VERSION};
+pub use hermes_exec::RunLite;
 pub use hermes_sim::report::{category_geomeans, category_means, f3, pct, speedup, Table};
 
 pub mod experiments;

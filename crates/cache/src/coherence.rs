@@ -38,12 +38,6 @@ pub enum Mesi {
 }
 
 impl Mesi {
-    /// Whether this state grants write permission without a directory
-    /// round trip (M or E — the silent-upgrade states).
-    pub fn writable(self) -> bool {
-        matches!(self, Mesi::Modified | Mesi::Exclusive)
-    }
-
     /// Whether the line is present at all.
     pub fn present(self) -> bool {
         self != Mesi::Invalid
@@ -67,12 +61,6 @@ impl CoherenceConfig {
     /// 55-cycle LLC load-to-use points).
     pub fn baseline() -> Self {
         Self { inv_latency: 24 }
-    }
-
-    /// Replaces the invalidation/intervention latency.
-    pub fn with_inv_latency(mut self, cycles: u32) -> Self {
-        self.inv_latency = cycles;
-        self
     }
 
     /// Validates the configuration for a `cores`-core system.
@@ -100,15 +88,13 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(Mesi::Modified.writable() && Mesi::Exclusive.writable());
-        assert!(!Mesi::Shared.writable() && !Mesi::Invalid.writable());
         assert!(Mesi::Shared.present() && !Mesi::Invalid.present());
     }
 
     #[test]
     fn config_builders_and_validation() {
-        let c = CoherenceConfig::baseline().with_inv_latency(8);
-        assert_eq!(c.inv_latency, 8);
+        let c = CoherenceConfig::default();
+        assert_eq!(c, CoherenceConfig::baseline());
         c.validate(64);
     }
 

@@ -108,17 +108,6 @@ impl<T> MshrTable<T> {
             .map(|e| e.prefetch_only)
     }
 
-    /// Upgrades an outstanding prefetch-only entry to demand status without
-    /// adding a waiter. Returns whether the entry existed.
-    pub fn mark_demand(&mut self, line: LineAddr) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
-            e.prefetch_only = false;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Completes the miss for `line`, releasing the register.
     ///
     /// Returns the merged waiters and whether the entry remained
@@ -190,17 +179,6 @@ mod tests {
         t.allocate(l, 0, true).unwrap();
         let (_, pf) = t.complete(l).unwrap();
         assert!(pf);
-    }
-
-    #[test]
-    fn mark_demand_upgrades() {
-        let mut t: MshrTable<u8> = MshrTable::new(2);
-        let l = LineAddr::new(7);
-        t.allocate(l, 0, true).unwrap();
-        assert!(t.mark_demand(l));
-        let (_, pf) = t.complete(l).unwrap();
-        assert!(!pf);
-        assert!(!t.mark_demand(l));
     }
 
     #[test]

@@ -155,13 +155,6 @@ impl MemoryController {
         &self.cfg
     }
 
-    /// Whether a read to `line` is currently in flight — the "check the
-    /// main memory controller's RQ" step a regular LLC miss performs
-    /// (paper step 3).
-    pub fn has_inflight(&self, line: LineAddr) -> bool {
-        self.inflight.contains_key(&line.raw())
-    }
-
     fn schedule(&mut self, line: LineAddr, now: Cycle, is_write: bool) -> Cycle {
         let loc = map_line(&self.cfg, line);
         // Writes drain from a write buffer; defer them so reads win the
@@ -543,10 +536,8 @@ mod tests {
         let mut out = Vec::new();
         m.pop_completions(r.completes_at - 1, &mut out);
         assert!(out.is_empty());
-        assert!(m.has_inflight(LineAddr::new(1)));
         m.pop_completions(r.completes_at, &mut out);
         assert_eq!(out.len(), 1);
-        assert!(!m.has_inflight(LineAddr::new(1)));
     }
 
     #[test]

@@ -7,24 +7,19 @@
 //! silently reused — bump [`CACHE_SCHEMA_VERSION`] whenever a change
 //! alters simulation results or what a record field means.
 //!
-//! Concurrency: multiple threads *and* multiple processes (e.g. two
-//! figure binaries started at once) may share one cache directory. One
-//! batch never needs the cache to share work within itself: the engine
+//! Concurrency: threads and processes may share one cache directory.
+//! Each entry is published by write-to-temp plus rename into the
+//! versioned directory, so a reader sees a whole entry or none, never a
+//! torn one. Nothing serialises computation: two processes that miss on
+//! the same key may both simulate it, and each publishes the same bytes
+//! atomically. Within one process that never happens: the engine
 //! deduplicates a batch's points before they reach the cache, and
 //! `run_all` submits every experiment's points as one batch. The cache
-//! serves what earlier runs computed. A sidecar `<key>.lock` file
-//! created with `O_EXCL` serialises computation per key: the winner
-//! simulates and publishes the entry with a write-to-temp + atomic-rename,
-//! losers poll until the entry appears and then read it, so no point is
-//! ever simulated twice and readers never observe a half-written file.
-//! Locks abandoned by a crashed process are broken after
-//! [`LOCK_STALE_SECS`].
+//! serves what earlier runs computed.
 
 use std::fs;
-use std::io::ErrorKind;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use crate::record::RunLite;
 use crate::Provenance;
@@ -61,14 +56,6 @@ use crate::Provenance;
 /// its name but changes meaning, or when simulation results move.
 pub const CACHE_SCHEMA_VERSION: u32 = 9;
 
-/// How long a lock file may sit untouched before a waiter assumes its
-/// owner died and breaks it. Generous: a legitimate `--full` eight-core
-/// point takes well under this.
-const LOCK_STALE_SECS: u64 = 300;
-
-/// Poll interval while waiting for another worker's result.
-const POLL: Duration = Duration::from_millis(20);
-
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// On-disk cache of [`RunLite`] records under a versioned root.
@@ -90,7 +77,8 @@ impl ResultCache {
         cache
     }
 
-    /// Suppresses lock-wait/lock-break diagnostics on stderr.
+    /// Suppresses the warning on stderr when an entry cannot be
+    /// published.
     pub fn quiet(mut self) -> Self {
         self.verbose = false;
         self
@@ -110,10 +98,6 @@ impl ResultCache {
         self.dir().join(format!("{key}.kv"))
     }
 
-    fn lock_path(&self, key: &str) -> PathBuf {
-        self.dir().join(format!("{key}.lock"))
-    }
-
     /// Reads an entry; any corruption (truncated write, stale format) is
     /// a miss, never an error.
     pub fn lookup(&self, key: &str) -> Option<RunLite> {
@@ -122,22 +106,27 @@ impl ResultCache {
     }
 
     /// Publishes an entry atomically (temp file + rename), so concurrent
-    /// readers see either the old bytes, the new bytes, or no file.
+    /// readers see either the old bytes, the new bytes, or no file. A
+    /// failure (an unwritable root, a full disk) leaves no entry and is
+    /// reported on stderr unless the cache is [`quiet`](Self::quiet).
     pub fn store(&self, key: &str, r: &RunLite) {
         let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir()
             .join(format!("{key}.{}-{n}.tmp", std::process::id()));
-        // Clean up the temp file on either failure (a failed write can
-        // still leave a partial file behind).
-        if fs::write(&tmp, r.to_kv()).is_err() || fs::rename(&tmp, self.entry_path(key)).is_err() {
+        let published =
+            fs::write(&tmp, r.to_kv()).and_then(|()| fs::rename(&tmp, self.entry_path(key)));
+        if let Err(e) = published {
+            // A failed write can still leave a partial temp file behind.
             let _ = fs::remove_file(&tmp);
+            if self.verbose {
+                eprintln!("  cache: cannot publish {key}: {e}");
+            }
         }
     }
 
-    /// Returns the cached record for `key`, computing and publishing it
-    /// exactly once across every thread and process sharing this
-    /// directory.
+    /// Returns the cached record for `key`, or computes, publishes and
+    /// returns it. A compute that panics publishes nothing.
     pub fn get_or_compute(
         &self,
         key: &str,
@@ -146,172 +135,9 @@ impl ResultCache {
         if let Some(r) = self.lookup(key) {
             return (r, Provenance::Cache);
         }
-        let mut compute = Some(compute);
-        let mut waited = false;
-        loop {
-            match LockGuard::acquire(self.lock_path(key)) {
-                Some(guard) => {
-                    // Re-probe under the lock: another worker may have
-                    // published between our miss and the acquisition.
-                    if let Some(r) = self.lookup(key) {
-                        drop(guard);
-                        let p = if waited {
-                            Provenance::Waited
-                        } else {
-                            Provenance::Cache
-                        };
-                        return (r, p);
-                    }
-                    let r = (compute.take().expect("compute consumed once"))();
-                    self.store(key, &r);
-                    drop(guard);
-                    return (r, Provenance::Computed);
-                }
-                None => {
-                    if !waited && self.verbose {
-                        eprintln!(
-                            "  wait: {key} locked by another worker \
-                             (dead-owner locks are broken automatically)"
-                        );
-                    }
-                    waited = true;
-                    std::thread::sleep(POLL);
-                    if let Some(r) = self.lookup(key) {
-                        return (r, Provenance::Waited);
-                    }
-                    break_stale_lock(&self.lock_path(key), self.verbose);
-                }
-            }
-        }
-    }
-}
-
-/// The `host:pid-counter` token stamped into lock files. The host part
-/// keeps the PID-liveness probe honest on cross-host shared filesystems
-/// (a PID only means something on the machine that issued it).
-fn lock_token() -> String {
-    format!(
-        "{}:{}-{}",
-        hostname(),
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
-}
-
-fn hostname() -> String {
-    fs::read_to_string("/proc/sys/kernel/hostname")
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|_| "unknown-host".to_string())
-}
-
-/// Removes a lock whose owner appears to have died: it was issued on this
-/// host and its recorded PID no longer exists (e.g. a figure binary
-/// killed with Ctrl-C, which terminates without unwinding `LockGuard`),
-/// or — the fallback covering other hosts and platforms without `/proc` —
-/// its mtime is older than [`LOCK_STALE_SECS`]. Best effort: racing
-/// removers are harmless because acquisition is an atomic `create_new`.
-fn break_stale_lock(path: &Path, verbose: bool) {
-    if let Ok(token) = fs::read_to_string(path) {
-        let same_host = token
-            .split(':')
-            .next()
-            .is_some_and(|host| host == hostname());
-        let pid = token
-            .rsplit(':')
-            .next()
-            .and_then(|rest| rest.split('-').next())
-            .and_then(|p| p.parse::<u32>().ok());
-        if let (true, Some(pid)) = (same_host, pid) {
-            // /proc is Linux-specific; elsewhere the mtime fallback below
-            // applies (probing a live pid as "dead" would void the
-            // cross-process mutual exclusion).
-            if pid != std::process::id()
-                && cfg!(target_os = "linux")
-                && !Path::new(&format!("/proc/{pid}")).exists()
-            {
-                if verbose {
-                    eprintln!(
-                        "  lock: breaking {} (owner pid {pid} is gone)",
-                        path.display()
-                    );
-                }
-                let _ = fs::remove_file(path);
-                return;
-            }
-        }
-    }
-    let Ok(meta) = fs::metadata(path) else {
-        return;
-    };
-    let Ok(modified) = meta.modified() else {
-        return;
-    };
-    if let Ok(age) = modified.elapsed() {
-        if age.as_secs() > LOCK_STALE_SECS {
-            let _ = fs::remove_file(path);
-        }
-    }
-}
-
-/// RAII sidecar-lock: created with `O_EXCL`, removed on drop (including
-/// on panic unwind, so a failed simulation never wedges its key).
-///
-/// The lock file is stamped with a per-acquisition token; drop only
-/// unlinks if the token still matches. Otherwise a waiter that broke a
-/// "stale" lock whose owner was merely slow (a point outlasting
-/// [`LOCK_STALE_SECS`]) would have *its* fresh lock deleted by the slow
-/// owner's drop, re-opening the compute-exactly-once window.
-struct LockGuard {
-    path: Option<PathBuf>,
-    /// `None` when the token could not be written (e.g. disk full): drop
-    /// then unlinks unconditionally — a leaked empty lock would otherwise
-    /// stall other processes until the mtime timeout, while the window in
-    /// which unconditional removal could hit a foreign lock (a waiter
-    /// breaking ours as stale mid-compute) needs [`LOCK_STALE_SECS`] to
-    /// have already elapsed.
-    token: Option<String>,
-}
-
-impl LockGuard {
-    fn acquire(path: PathBuf) -> Option<Self> {
-        let token = lock_token();
-        match fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                use std::io::Write;
-                let token = f.write_all(token.as_bytes()).is_ok().then_some(token);
-                Some(Self {
-                    path: Some(path),
-                    token,
-                })
-            }
-            Err(e) if e.kind() == ErrorKind::AlreadyExists => None,
-            // Unexpected I/O failure (read-only dir, exotic FS): degrade
-            // to lockless operation rather than livelocking — the atomic
-            // publish still keeps entries uncorrupted.
-            Err(_) => Some(Self {
-                path: None,
-                token: None,
-            }),
-        }
-    }
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        if let Some(p) = self.path.take() {
-            // Only remove a lock we still own (see type docs).
-            let owned = match &self.token {
-                Some(t) => fs::read_to_string(&p).is_ok_and(|s| &s == t),
-                None => true,
-            };
-            if owned {
-                let _ = fs::remove_file(p);
-            }
-        }
+        let r = compute();
+        self.store(key, &r);
+        (r, Provenance::Computed)
     }
 }
 
@@ -377,44 +203,22 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")] // prompt pid-liveness breaking is /proc-based
-    fn lock_leaked_by_a_dead_process_is_broken_promptly() {
-        let c = ResultCache::new(scratch("dead-owner"));
-        // A lock from this host stamped with a PID that cannot exist on
-        // Linux (PID_MAX_LIMIT is 2^22), as left behind by a killed run.
-        fs::write(c.lock_path("k"), format!("{}:999999999-0", hostname())).unwrap();
-        let t0 = std::time::Instant::now();
-        let (r, p) = c.get_or_compute("k", sample);
-        assert_eq!((r, p), (sample(), Provenance::Computed));
-        assert!(
-            t0.elapsed().as_secs() < LOCK_STALE_SECS,
-            "dead-owner lock must not stall until the mtime timeout"
-        );
-    }
-
-    #[test]
-    fn drop_leaves_a_lock_it_no_longer_owns() {
-        let c = ResultCache::new(scratch("foreign-lock"));
-        let lock = c.lock_path("k");
-        let guard = LockGuard::acquire(lock.clone()).expect("fresh lock");
-        // Simulate a waiter breaking this lock as stale and re-acquiring:
-        // the file now carries someone else's token.
-        fs::write(&lock, "other-owner").unwrap();
-        drop(guard);
-        assert!(
-            lock.exists(),
-            "drop must not unlink a lock owned by another acquirer"
-        );
-    }
-
-    #[test]
-    fn panicking_compute_releases_the_lock() {
+    fn panicking_compute_publishes_nothing() {
         let c = ResultCache::new(scratch("panic"));
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.get_or_compute("k", || panic!("boom"))
         }));
         assert!(res.is_err());
-        // The key is not wedged: a later caller acquires and computes.
+        assert!(
+            c.lookup("k").is_none(),
+            "a panicking compute stores nothing"
+        );
+        assert_eq!(
+            fs::read_dir(c.dir()).unwrap().count(),
+            0,
+            "and leaves no temp file"
+        );
+        // A later caller misses and computes.
         let (r, p) = c.get_or_compute("k", sample);
         assert_eq!((r, p), (sample(), Provenance::Computed));
     }

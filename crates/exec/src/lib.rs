@@ -8,14 +8,14 @@
 //!
 //! * **[`Engine::run_batch`]** — takes a batch of [`Job`]s, deduplicates
 //!   points that share a cache key, runs the unique ones on a
-//!   work-stealing `std::thread` pool, and returns [`Outcome`]s in
-//!   *input order*, so a parallel run produces byte-identical tables to
-//!   `jobs = 1`.
+//!   `std::thread` pool whose workers claim points from one shared
+//!   counter, and returns [`Outcome`]s in *input order*, so a parallel
+//!   run produces byte-identical tables to `jobs = 1`.
 //! * **[`ResultCache`]** — the on-disk result cache under
-//!   `target/expcache/`, versioned with [`CACHE_SCHEMA_VERSION`] and
-//!   safe across processes with sidecar lock files, so a later run (or
-//!   two runs at once) reuses earlier results without corruption or
-//!   double work.
+//!   `target/expcache/`, versioned with [`CACHE_SCHEMA_VERSION`], so a
+//!   later run reuses earlier results. Entries are published
+//!   atomically, so two processes sharing it never read a torn entry,
+//!   though both may simulate the same point.
 //! * **[`Manifest`]** — structured JSON run manifests
 //!   (`target/experiments/<id>.json`) with per-job wall time, cache
 //!   hit/miss provenance, and measured stats.
@@ -124,8 +124,6 @@ pub enum Provenance {
     Computed,
     /// Served from the on-disk cache.
     Cache,
-    /// Another thread/process was computing it; we waited and read it.
-    Waited,
     /// Duplicate of an earlier job in the same batch; shares its result.
     Deduped,
 }
@@ -136,7 +134,6 @@ impl Provenance {
         match self {
             Provenance::Computed => "computed",
             Provenance::Cache => "cache",
-            Provenance::Waited => "waited",
             Provenance::Deduped => "deduped",
         }
     }
@@ -183,8 +180,8 @@ impl Engine {
         }
     }
 
-    /// Suppresses per-simulation progress lines and lock diagnostics on
-    /// stderr.
+    /// Suppresses per-simulation progress lines and the cache's
+    /// publish-failure warnings on stderr.
     pub fn quiet(mut self) -> Self {
         self.verbose = false;
         self.cache = self.cache.quiet();

@@ -2,7 +2,7 @@
 //!
 //! One JSON document per experiment under `target/experiments/<id>.json`,
 //! recording what the engine did: per-point wall time, how each point was
-//! served (simulated, disk cache, or waited on another worker), how many
+//! served (simulated or read from the disk cache), how many
 //! submitted points shared another's result within the batch, and the
 //! measured statistics. These files seed the
 //! `BENCH_*.json`-style perf trajectory: CI prints them, so evaluation
@@ -113,10 +113,6 @@ impl Manifest {
             self.count(Provenance::Cache)
         ));
         s.push_str(&format!(
-            "  \"waited\": {},\n",
-            self.count(Provenance::Waited)
-        ));
-        s.push_str(&format!(
             "  \"deduped\": {},\n",
             self.count(Provenance::Deduped)
         ));
@@ -159,11 +155,10 @@ impl Manifest {
     /// One-line human summary for progress logs.
     pub fn summary_line(&self) -> String {
         format!(
-            "{} points: {} simulated, {} cached, {} waited, {} deduped; {:.1}s wall, jobs={}",
+            "{} points: {} simulated, {} cached, {} deduped; {:.1}s wall, jobs={}",
             self.entries.len(),
             self.count(Provenance::Computed),
             self.count(Provenance::Cache),
-            self.count(Provenance::Waited),
             self.count(Provenance::Deduped),
             self.wall.as_secs_f64(),
             self.jobs,

@@ -1,15 +1,13 @@
-//! A minimal work-stealing thread pool over an indexed job set.
+//! A minimal thread pool over an indexed job set.
 //!
-//! Built entirely on `std` (`thread::scope`, `Mutex<VecDeque>`): the
-//! workspace vendors its few dependencies, so no crossbeam/rayon. Jobs
-//! are dealt round-robin onto per-worker deques; a worker pops from the
-//! front of its own deque and, when empty, steals from the *back* of a
-//! victim's — the classic split that keeps owner and thief off the same
-//! end. The job set is fixed up front (no job spawns jobs), so an empty
-//! sweep over every deque is a correct termination condition.
+//! Built on `std` alone (`thread::scope` and one `AtomicUsize`): the
+//! workspace vendors its few dependencies, so no crossbeam/rayon. Each
+//! worker claims the next unclaimed index from a shared counter, runs
+//! it, and returns its `(index, result)` pairs when it joins. The job set
+//! is fixed up front (no job spawns jobs), so a claim past the end means
+//! every index is taken.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f(0..n)` across `workers` threads and returns the results in
 /// index order, regardless of execution order. With `workers <= 1` the
@@ -23,56 +21,31 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let workers = workers.min(n);
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..n {
-        queues[i % workers]
-            .lock()
-            .expect("queue poisoned")
-            .push_back(i);
-    }
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            let f = &f;
-            s.spawn(move || {
-                while let Some(i) = next_job(queues, w) {
-                    let out = f(i);
-                    *results[i].lock().expect("result poisoned") = Some(out);
-                }
-            });
+        let handles: Vec<_> = (0..workers.min(n)).map(|_| s.spawn(work)).collect();
+        for h in handles {
+            let done = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (i, r) in done {
+                results[i] = Some(r);
+            }
         }
     });
-
     results
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result poisoned")
-                .expect("every index executed")
-        })
+        .map(|r| r.expect("every index executed"))
         .collect()
-}
-
-/// Pops from worker `w`'s own deque, else steals from the other deques.
-/// `None` means every deque is empty — since the job set is fixed, that
-/// is global completion.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(i) = queues[w].lock().expect("queue poisoned").pop_front() {
-        return Some(i);
-    }
-    let k = queues.len();
-    for off in 1..k {
-        let victim = (w + off) % k;
-        if let Some(i) = queues[victim].lock().expect("queue poisoned").pop_back() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

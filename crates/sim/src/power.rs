@@ -97,20 +97,6 @@ impl PowerBreakdown {
     pub fn total(&self) -> f64 {
         self.l1 + self.l2 + self.llc + self.bus + self.predictor + self.prefetcher + self.other
     }
-
-    /// Dynamic power relative to a baseline run covering the same work
-    /// (the Fig. 18 metric): energy ratio scaled by the cycle ratio.
-    pub fn normalized_power(
-        &self,
-        cycles: u64,
-        baseline: &PowerBreakdown,
-        baseline_cycles: u64,
-    ) -> f64 {
-        if baseline.total() == 0.0 || cycles == 0 || baseline_cycles == 0 {
-            return 0.0;
-        }
-        (self.total() / cycles as f64) / (baseline.total() / baseline_cycles as f64)
-    }
 }
 
 #[cfg(test)]
@@ -149,23 +135,5 @@ mod tests {
             p.predictor < 0.2 * p.l1,
             "POPET must cost far less than L1 traffic"
         );
-    }
-
-    #[test]
-    fn normalized_power_identity() {
-        let model = PowerModel::default();
-        let cores = vec![CoreHierStats {
-            l1_accesses: 10,
-            ..Default::default()
-        }];
-        let dram = DramStats::default();
-        let p = PowerBreakdown::compute(&model, &cores, &dram, 10, 0, 0);
-        assert!((p.normalized_power(100, &p, 100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalized_power_zero_guards() {
-        let p = PowerBreakdown::default();
-        assert_eq!(p.normalized_power(0, &p, 10), 0.0);
     }
 }

@@ -104,25 +104,6 @@ impl CoreRunStats {
             self.hier.walk_cycles_sum as f64 / self.hier.walks_completed as f64
         }
     }
-
-    /// Coherence invalidations (remote copies killed by this core's
-    /// stores) per kilo-instruction; zero with `coherence: None`.
-    pub fn coh_inv_pki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.hier.coh_invalidations as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
-    /// Write-permission upgrades per kilo-instruction.
-    pub fn coh_upgrade_pki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.hier.coh_upgrades as f64 * 1000.0 / self.instructions as f64
-        }
-    }
 }
 
 /// Complete results of one simulation run.
@@ -215,8 +196,6 @@ mod tests {
         assert_eq!(c.dtlb_mpki(), 4.0);
         assert_eq!(c.stlb_mpki(), 2.0);
         assert_eq!(c.avg_walk_cycles(), 45.0);
-        assert_eq!(c.coh_upgrade_pki(), 3.0);
-        assert_eq!(c.coh_inv_pki(), 5.0);
     }
 
     #[test]

@@ -66,12 +66,6 @@ macro_rules! addr_common {
                 self.0 & (LINE_SIZE as u64 - 1)
             }
 
-            /// 4-byte-word offset within the cache line (bits 2..6).
-            #[inline]
-            pub const fn word_offset_in_line(self) -> u64 {
-                (self.0 >> 2) & ((LINE_SIZE as u64 / 4) - 1)
-            }
-
             /// Cache-line offset within the 4 KiB page (bits 6..12), the
             /// "cacheline offset" used by POPET features (1)/(4).
             #[inline]
@@ -179,13 +173,6 @@ impl LineAddr {
     pub const fn offset_in_page(self) -> u64 {
         self.0 & ((PAGE_SIZE as u64 / LINE_SIZE as u64) - 1)
     }
-
-    /// Returns the line `delta` lines away (saturating at zero for negative
-    /// deltas that would underflow).
-    #[inline]
-    pub fn offset_by(self, delta: i64) -> LineAddr {
-        LineAddr(self.0.wrapping_add(delta as u64))
-    }
 }
 
 impl fmt::Debug for LineAddr {
@@ -215,12 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn word_offset() {
-        let a = VirtAddr::new(0b101100); // byte 44 -> word 11
-        assert_eq!(a.word_offset_in_line(), 11);
-    }
-
-    #[test]
     fn line_addr_round_trip() {
         let p = PhysAddr::new(0x12345);
         let l = p.line();
@@ -233,13 +214,6 @@ mod tests {
         let p = PhysAddr::from_frame(0x42, 0x123);
         assert_eq!(p.raw(), (0x42 << 12) | 0x123);
         assert_eq!(p.page_number(), 0x42);
-    }
-
-    #[test]
-    fn line_offset_by_is_wrapping_add() {
-        let l = LineAddr::new(100);
-        assert_eq!(l.offset_by(5).raw(), 105);
-        assert_eq!(l.offset_by(-5).raw(), 95);
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl SatWeight {
     pub fn set(&mut self, v: i16) {
         self.value = v.clamp(self.min, self.max);
     }
-
-    /// Whether the weight sits at its positive or negative rail.
-    #[inline]
-    pub fn is_saturated(self) -> bool {
-        self.value == self.min || self.value == self.max
-    }
 }
 
 impl Default for SatWeight {
@@ -233,12 +227,10 @@ mod tests {
             w.increment();
         }
         assert_eq!(w.get(), 3);
-        assert!(w.is_saturated());
         for _ in 0..20 {
             w.decrement();
         }
         assert_eq!(w.get(), -4);
-        assert!(w.is_saturated());
     }
 
     #[test]

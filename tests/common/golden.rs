@@ -3,14 +3,16 @@
 //! Each row names a configuration, the workloads of its cores, the core
 //! count, the warmup and measured instructions per core, and the
 //! [`fnv1a`] hash of the run's [`super::digest`], which renders every counter
-//! the run reports. `golden.rs` checks every row; `hier_golden.rs`,
-//! `hier_equivalence.rs` and `ooo.rs` check the rows of the runs they
-//! pinned before the table existed. A failure lists each moved row with
-//! its new hash and its readable digest.
+//! the run reports. `hier_golden.rs`, `hier_equivalence.rs` and `ooo.rs`
+//! check the rows of the runs they pinned before the table existed, each
+//! test through one of the [`NAMED`] selectors; `golden.rs` checks every
+//! other row, so one `cargo test` runs each row once. A failure lists
+//! each moved row with its new hash and its readable digest.
 //!
-//! To re-pin on purpose: run `cargo test --test golden`, check that the
-//! moved rows (and only they) are the ones the change should move, and
-//! paste each printed `now` hash over that row's pinned one here.
+//! To re-pin on purpose: run `cargo test --no-fail-fast --test golden
+//! --test hier_golden --test hier_equivalence --test ooo`, check that
+//! the moved rows (and only they) are the ones the change should move,
+//! and paste each printed `now` hash over that row's pinned one here.
 
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
 use hermes_repro::hermes_cache::CoherenceConfig;
@@ -187,9 +189,54 @@ fn workloads() -> Vec<WorkloadSpec> {
     all
 }
 
-/// Runs every row that `select` picks and returns how many it ran;
-/// panics listing each picked row whose digest moved.
-pub fn check(select: impl Fn(&Row) -> bool) -> usize {
+/// The rows of `hier_golden::vm_tiny_tlbs_walks_through_full_l1_mshrs`.
+pub fn vm_tiny_tlbs(r: &Row) -> bool {
+    r.0 == "vm-tiny-tlbs"
+}
+
+/// The rows of `hier_golden::vm_shared_stlb_two_cores`.
+pub fn vm_shared_stlb(r: &Row) -> bool {
+    r.0 == "vm-shared-stlb+popet"
+}
+
+/// The rows of `hier_golden::mesi_four_cores_on_the_sharing_suite`.
+pub fn mesi_four_cores(r: &Row) -> bool {
+    r.0 == "mesi+popet" && r.2 == 4
+}
+
+/// The rows of `hier_equivalence::generic_hierarchy_matches_pre_refactor_goldens`.
+pub fn pre_refactor_1core(r: &Row) -> bool {
+    r.0.starts_with("pythia") && r.2 == 1 && r.3 == 5_000
+}
+
+/// The rows of `hier_equivalence::generic_hierarchy_matches_pre_refactor_goldens_2core`.
+pub fn pre_refactor_2core(r: &Row) -> bool {
+    r.0 == "pythia" && r.2 == 2
+}
+
+/// The rows of `ooo::ooo_core_matches_pinned_goldens`.
+pub fn ooo_core(r: &Row) -> bool {
+    r.0.starts_with("ooo")
+}
+
+/// A set of rows, as a predicate.
+pub type Select = fn(&Row) -> bool;
+
+/// Every selector a named golden test uses, with the number of rows it
+/// picks. `golden.rs` checks that they are disjoint and pick these
+/// counts, and runs every row none of them picks.
+pub const NAMED: [(Select, usize); 6] = [
+    (vm_tiny_tlbs, 1),
+    (vm_shared_stlb, 1),
+    (mesi_four_cores, 1),
+    (pre_refactor_1core, 6),
+    (pre_refactor_2core, 1),
+    (ooo_core, 12),
+];
+
+/// Runs every row that `select` picks; panics listing each picked row
+/// whose digest moved.
+pub fn check(select: impl Fn(&Row) -> bool) {
     let all = workloads();
     let rows: Vec<&Row> = GOLDEN.iter().filter(|r| select(r)).collect();
     let mut moved = Vec::new();
@@ -222,5 +269,4 @@ pub fn check(select: impl Fn(&Row) -> bool) -> usize {
         rows.len(),
         moved.join("\n")
     );
-    rows.len()
 }

@@ -38,15 +38,14 @@ fn four_level() -> SystemConfig {
 /// (POPET), on each smoke trace at warmup 5 000 / measure 20 000.
 #[test]
 fn generic_hierarchy_matches_pre_refactor_goldens() {
-    let rows = golden::check(|r| r.0.starts_with("pythia") && r.2 == 1 && r.3 == 5_000);
-    assert_eq!(rows, 6);
+    golden::check(golden::pre_refactor_1core);
 }
 
 /// A 2-core mix (smoke-chase + smoke-stream, shared LLC contention) at
 /// warmup 3 000 / measure 10 000.
 #[test]
 fn generic_hierarchy_matches_pre_refactor_goldens_2core() {
-    assert_eq!(golden::check(|r| r.0 == "pythia" && r.2 == 2), 1);
+    golden::check(golden::pre_refactor_2core);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! STLB, page-walk-cache and coherence counter, so a refactor of the
 //! first-level request path (where walker reads, loads and stores meet
 //! the MSHRs and the retry queue) must reproduce them bit for bit.
-//! `golden.rs` checks these rows too, with every other row.
+//! `golden.rs` checks every other row.
 
 mod common;
 
@@ -14,15 +14,15 @@ use common::golden;
 /// in the retry queue beside demand loads and stores.
 #[test]
 fn vm_tiny_tlbs_walks_through_full_l1_mshrs() {
-    assert_eq!(golden::check(|r| r.0 == "vm-tiny-tlbs"), 1);
+    golden::check(golden::vm_tiny_tlbs);
 }
 
 #[test]
 fn vm_shared_stlb_two_cores() {
-    assert_eq!(golden::check(|r| r.0 == "vm-shared-stlb+popet"), 1);
+    golden::check(golden::vm_shared_stlb);
 }
 
 #[test]
 fn mesi_four_cores_on_the_sharing_suite() {
-    assert_eq!(golden::check(|r| r.0 == "mesi+popet" && r.2 == 4), 1);
+    golden::check(golden::mesi_four_cores);
 }

@@ -30,7 +30,7 @@ fn ooo(cfg: SystemConfig) -> SystemConfig {
 /// spill-reload at warmup 3 000 / measure 8 000.
 #[test]
 fn ooo_core_matches_pinned_goldens() {
-    assert_eq!(golden::check(|r| r.0.starts_with("ooo")), 12);
+    golden::check(golden::ooo_core);
 }
 
 #[test]
