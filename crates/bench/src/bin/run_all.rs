@@ -1,7 +1,7 @@
 //! Runs every experiment as one batch and regenerates `EXPERIMENTS.md`.
 //!
 //! Usage: `cargo run -p hermes-bench --release --bin run_all
-//! [--quick|--full] [--jobs N]`
+//! [--quick|--full] [--record] [--jobs N]`
 //!
 //! The 30 experiments of `hermes_bench::experiments::ALL` run in this
 //! process through `hermes_bench::run`: their points go to the

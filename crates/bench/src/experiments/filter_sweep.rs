@@ -15,11 +15,10 @@
 //! is above quarter occupancy, which is what turns correct predictions
 //! into losses on a four-core single-channel system.
 //!
-//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`, plus
-//! `--smoke` — a CI-scale mode (2 cores, tiny windows, reduced grid).
+//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`.
 
 use crate::{
-    cross, f3, smoke, speedup_table, speedups, Experiment, Point, Results, RunLite, Scale, Table,
+    cross, f3, speedup_table, speedups, Experiment, Point, Results, RunLite, Scale, Table,
 };
 use hermes::{HermesConfig, PredictorKind};
 use hermes_cache::CoherenceConfig;
@@ -30,7 +29,7 @@ use hermes_types::geomean;
 pub const EXPERIMENT: Experiment = Experiment {
     id: "filter_sweep",
     title: "Coherence-aware POPET + speculative-read filter vs raw Hermes under sharing",
-    scale,
+    scale: Scale::clone,
     points,
     render,
 };
@@ -38,35 +37,19 @@ pub const EXPERIMENT: Experiment = Experiment {
 /// The four systems compared at every shared fraction, by tag suffix.
 const VARIANTS: [&str; 4] = ["base", "hermesO-popet", "hermesO-coh", "hermesO-coh-filter"];
 
-/// The smoke mode's tiny windows.
-fn scale(scale: &Scale) -> Scale {
-    if !smoke() {
-        return scale.clone();
-    }
-    Scale {
-        warmup: 2_000,
-        instr: 6_000,
-        ..scale.clone()
-    }
-}
+/// Cores per system.
+const CORES: usize = 4;
 
-/// Cores per system, and the shared fractions swept in table order.
-fn sweep() -> (usize, &'static [u32]) {
-    if smoke() {
-        (2, &[0, 500])
-    } else {
-        (4, &[0, 250, 500])
-    }
-}
+/// The shared fractions swept, in table order.
+const FRACTIONS: [u32; 3] = [0, 250, 500];
 
 fn points(_: &Scale) -> Vec<Point> {
     // The ring is identical at every fraction, so its repeats share one
     // simulation.
-    let (cores, fractions) = sweep();
     let mut grid = Vec::new();
-    for &frac in fractions {
+    for frac in FRACTIONS {
         let base_cfg = SystemConfig {
-            cores,
+            cores: CORES,
             ..SystemConfig::baseline_1c()
         }
         .with_coherence(CoherenceConfig::baseline());
@@ -81,7 +64,7 @@ fn points(_: &Scale) -> Vec<Point> {
                 .with_coh_features()
                 .with_filter(),
         );
-        let tag = format!("filt{frac}-{cores}c");
+        let tag = format!("filt{frac}-{CORES}c");
         let configs: Vec<(String, SystemConfig)> = VARIANTS
             .iter()
             .map(|v| format!("{tag}-{v}"))
@@ -93,7 +76,6 @@ fn points(_: &Scale) -> Vec<Point> {
 }
 
 fn render(results: &Results, scale: &Scale) -> String {
-    let (cores, fractions) = sweep();
     let gm = |rs: &[(WorkloadSpec, RunLite)]| {
         geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
     };
@@ -123,9 +105,9 @@ fn render(results: &Results, scale: &Scale) -> String {
         "prec +coh",
     ]);
     let mut speedup_rows = Vec::new();
-    for &frac in fractions {
+    for frac in FRACTIONS {
         let specs = suite::sharing_suite(frac);
-        let tag = format!("filt{frac}-{cores}c");
+        let tag = format!("filt{frac}-{CORES}c");
         let [base, raw, coh, filt] = VARIANTS.map(|v| results.suite(&format!("{tag}-{v}"), &specs));
         let ipc_b = gm(&base);
         t.row(&[
@@ -168,7 +150,7 @@ fn render(results: &Results, scale: &Scale) -> String {
          the private fraction.",
         scale.warmup,
         scale.instr,
-        cores,
+        CORES,
         t.to_markdown(),
         speedup_table(&speedup_rows),
     )

@@ -8,50 +8,23 @@
 //! controller, and the more Hermes has to hide (§4 of the paper treats
 //! the 55-cycle three-level walk as fixed; here it is a knob).
 //!
-//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`, plus
-//! `--smoke` — a CI-scale mode (2 cores, tiny windows, smoke suite) used
-//! by the workflow to exercise non-default topologies and multicore
-//! sharing on every push.
+//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`.
 
-use crate::{cross, f3, smoke, speedup_table, speedups, Experiment, Point, Results, Scale, Table};
+use crate::{cross, f3, speedup_table, speedups, Experiment, Point, Results, Scale, Table};
 use hermes::{HermesConfig, PredictorKind};
 use hermes_cache::{CacheConfig, ReplacementKind};
 use hermes_sim::SystemConfig;
-use hermes_trace::suite;
 use hermes_types::geomean;
 
 pub const EXPERIMENT: Experiment = Experiment {
     id: "hier_sweep",
     title: "IPC and Hermes speedup across 2/3/4-level cache topologies",
-    scale,
+    scale: Scale::clone,
     points,
     render,
 };
 
-/// The smoke mode's tiny windows over the smoke suite.
-fn scale(scale: &Scale) -> Scale {
-    if !smoke() {
-        return scale.clone();
-    }
-    Scale {
-        warmup: 2_000,
-        instr: 6_000,
-        suite: suite::smoke_suite(),
-        ..scale.clone()
-    }
-}
-
-/// Cores per system: two in the smoke mode, else one.
-fn cores() -> usize {
-    if smoke() {
-        2
-    } else {
-        1
-    }
-}
-
-/// The three topologies under comparison, shallow to deep, at the
-/// mode's core count.
+/// The three topologies under comparison, shallow to deep.
 fn topologies() -> Vec<(&'static str, SystemConfig)> {
     let base = SystemConfig::baseline_1c();
     let two = base.clone().with_levels(vec![
@@ -68,11 +41,7 @@ fn topologies() -> Vec<(&'static str, SystemConfig)> {
         CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
         base.levels[2].clone(),
     ]);
-    let cores = cores();
-    [("hier2", two), ("hier3", three), ("hier4", four)]
-        .into_iter()
-        .map(|(tag, topo)| (tag, SystemConfig { cores, ..topo }))
-        .collect()
+    vec![("hier2", two), ("hier3", three), ("hier4", four)]
 }
 
 fn points(scale: &Scale) -> Vec<Point> {
@@ -124,9 +93,8 @@ fn render(results: &Results, scale: &Scale) -> String {
         ]);
     }
     format!(
-        "{}-core, {} workloads, {}+{} instructions/core.\n\n{}\n\
+        "1-core, {} workloads, {}+{} instructions/core.\n\n{}\n\
          Per-category Hermes-O/POPET speedup by topology:\n\n{}",
-        cores(),
         scale.suite.len(),
         scale.warmup,
         scale.instr,

@@ -23,10 +23,9 @@
 //! later, so the LSQ axis exercises store-to-load forwarding and
 //! store-queue pressure, not just load-queue depth.
 //!
-//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`, plus
-//! `--smoke` — a CI-scale mode (tiny windows, two points per axis).
+//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`.
 
-use crate::{cross, f3, smoke, Experiment, Point, Results, RunLite, Scale, Table};
+use crate::{cross, f3, Experiment, Point, Results, RunLite, Scale, Table};
 use hermes::{HermesConfig, PredictorKind};
 use hermes_cpu::{CoreModel, OooConfig};
 use hermes_sim::SystemConfig;
@@ -45,14 +44,9 @@ pub const EXPERIMENT: Experiment = Experiment {
 /// ROB depth of every point on the LSQ axis.
 const LSQ_ROB: usize = 256;
 
-/// The sweep subsample plus the `spill-reload` kernel, at the smoke
-/// mode's tiny windows if asked.
+/// The sweep subsample plus the `spill-reload` kernel.
 fn scale(scale: &Scale) -> Scale {
     let mut scale = scale.clone();
-    if smoke() {
-        scale.warmup = 2_000;
-        scale.instr = 6_000;
-    }
     scale.suite = scale.sweep_suite();
     // A spill/reload kernel: the one workload class that reloads
     // just-stored words, keeping `fwd loads` and store-queue pressure
@@ -66,20 +60,13 @@ fn scale(scale: &Scale) -> Scale {
     scale
 }
 
-/// The ROB depths and the (LQ, SQ) sizes swept.
-fn axes() -> (&'static [usize], &'static [(usize, usize)]) {
-    if smoke() {
-        (&[128, 512], &[(16, 8), (128, 72)])
-    } else {
-        (
-            &[64, 128, 256, 512],
-            &[(16, 8), (32, 16), (64, 36), (128, 72)],
-        )
-    }
-}
+/// The ROB depths swept.
+const ROBS: [usize; 4] = [64, 128, 256, 512];
+
+/// The (LQ, SQ) sizes swept, starved to baseline.
+const LSQS: [(usize, usize); 4] = [(16, 8), (32, 16), (64, 36), (128, 72)];
 
 fn points(scale: &Scale) -> Vec<Point> {
-    let (robs, lsqs) = axes();
     let ooo = |rob: usize| {
         SystemConfig::baseline_1c()
             .with_rob(rob)
@@ -89,7 +76,7 @@ fn points(scale: &Scale) -> Vec<Point> {
         cfg.clone().with_hermes(HermesConfig::hermes_o(pred))
     };
     let mut configs = Vec::new();
-    for &rob in robs {
+    for rob in ROBS {
         let base_cfg = ooo(rob);
         let tag = format!("ooo-rob{rob}");
         configs.push((format!("{tag}-base"), base_cfg.clone()));
@@ -102,7 +89,7 @@ fn points(scale: &Scale) -> Vec<Point> {
             hermes(&base_cfg, PredictorKind::Ideal),
         ));
     }
-    for &(lq, sq) in lsqs {
+    for (lq, sq) in LSQS {
         let base_cfg = ooo(LSQ_ROB).with_lq(lq).with_sq(sq);
         let tag = format!("ooo-lsq{lq}x{sq}");
         configs.push((format!("{tag}-base"), base_cfg.clone()));
@@ -115,7 +102,6 @@ fn points(scale: &Scale) -> Vec<Point> {
 }
 
 fn render(results: &Results, scale: &Scale) -> String {
-    let (robs, lsqs) = axes();
     let gm = |rs: &[(WorkloadSpec, RunLite)]| {
         geomean(&rs.iter().map(|(_, r)| r.ipc).collect::<Vec<_>>())
     };
@@ -135,7 +121,7 @@ fn render(results: &Results, scale: &Scale) -> String {
         "fwd loads",
     ]);
     let mut curve = Vec::new();
-    for &rob in robs {
+    for rob in ROBS {
         let base = runs(format!("ooo-rob{rob}-base"));
         let popet = runs(format!("ooo-rob{rob}-hermesO-popet"));
         let ideal = runs(format!("ooo-rob{rob}-hermesO-ideal"));
@@ -144,7 +130,7 @@ fn render(results: &Results, scale: &Scale) -> String {
         let sp_p = gm(&popet) / ipc_b;
         let sp_i = gm(&ideal) / ipc_b;
         // Fraction of the Ideal *upside* POPET captures; degenerate when
-        // Ideal itself gains nothing (tiny smoke windows), so clamp the
+        // Ideal itself gains nothing (tiny windows), so clamp the
         // denominator away from zero.
         let frac = (sp_p - 1.0) / (sp_i - 1.0).max(1e-9);
         curve.push((rob, sp_p, sp_i));
@@ -161,7 +147,7 @@ fn render(results: &Results, scale: &Scale) -> String {
 
     let mut lt = Table::new(&["LQ/SQ", "IPC base", "spd POPET", "lsq stalls", "fwd loads"]);
     let mut lsq_curve = Vec::new();
-    for &(lq, sq) in lsqs {
+    for (lq, sq) in LSQS {
         let base = runs(format!("ooo-lsq{lq}x{sq}-base"));
         let popet = runs(format!("ooo-lsq{lq}x{sq}-hermesO-popet"));
         let ipc_b = gm(&base);

@@ -21,13 +21,13 @@
 //! the engine or its result cache), because its product is the
 //! artifacts, not cacheable scalars.
 //!
-//! Flags: `--quick` / `--full` / `--record` as usual, plus `--smoke` for
-//! a CI-scale run.
+//! Flags: the usual `--quick` / `--full` / `--record` (`--jobs N` is
+//! accepted but unused: the experiment submits no points).
 
 use std::fs;
 use std::path::PathBuf;
 
-use crate::{f3, smoke, Experiment, Results, Scale, Table};
+use crate::{f3, Experiment, Results, Scale, Table};
 use hermes::{HermesConfig, PredictorKind};
 use hermes_probe::{validate_json, LatClass, ProbeConfig};
 use hermes_sim::system::run_one;
@@ -38,30 +38,18 @@ use hermes_vm::VmConfig;
 pub const EXPERIMENT: Experiment = Experiment {
     id: "probe_demo",
     title: "Observability probe: lifecycle traces, interval timeline, latency histograms",
-    scale,
+    scale: Scale::clone,
     points: |_| Vec::new(),
     render,
 };
-
-/// The smoke mode's tiny window.
-fn scale(scale: &Scale) -> Scale {
-    if !smoke() {
-        return scale.clone();
-    }
-    Scale {
-        warmup: 2_000,
-        instr: 8_000,
-        ..scale.clone()
-    }
-}
 
 fn render(_: &Results, scale: &Scale) -> String {
     let spec = &suite::smoke_suite()[0]; // pointer chase: off-chip bound
     let cfg = SystemConfig::baseline_1c()
         .with_vm(VmConfig::baseline())
         .with_hermes(HermesConfig::hermes_o(PredictorKind::Popet));
-    // The baseline 20k-cycle interval gives ~20 snapshots on the smoke
-    // window (a memory-bound chase runs at well under 0.1 IPC); 1-in-16
+    // The baseline 20k-cycle interval gives ~20 snapshots on the
+    // `--quick` window (a memory-bound chase runs at well under 0.1 IPC); 1-in-16
     // sampling keeps the trace readable while catching plenty of loads.
     let probe = ProbeConfig::baseline().with_sample_period(16);
 

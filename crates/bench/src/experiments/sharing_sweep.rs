@@ -11,12 +11,10 @@
 //! misses, so its accuracy — and Hermes's win — is squeezed exactly where
 //! sharing is heaviest.
 //!
-//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`, plus
-//! `--smoke` — a CI-scale mode (2 cores, tiny windows, reduced grid)
-//! proving nonzero invalidation traffic on every push.
+//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`.
 
 use crate::{
-    cross, f3, smoke, speedup_table, speedups, Experiment, Point, Results, RunLite, Scale, Table,
+    cross, f3, speedup_table, speedups, Experiment, Point, Results, RunLite, Scale, Table,
 };
 use hermes::{HermesConfig, PredictorKind};
 use hermes_cache::CoherenceConfig;
@@ -27,36 +25,19 @@ use hermes_types::geomean;
 pub const EXPERIMENT: Experiment = Experiment {
     id: "sharing_sweep",
     title: "Hermes under inter-core sharing (MESI coherence, shared fraction x cores)",
-    scale,
+    scale: Scale::clone,
     points,
     render,
 };
 
-/// The smoke mode's tiny windows.
-fn scale(scale: &Scale) -> Scale {
-    if !smoke() {
-        return scale.clone();
-    }
-    Scale {
-        warmup: 2_000,
-        instr: 6_000,
-        ..scale.clone()
-    }
-}
-
 /// Every (cores, shared fraction) point and its tag, in table order.
 fn sweep() -> Vec<(usize, u32, String)> {
-    let (core_counts, fractions): (&[usize], &[u32]) = if smoke() {
-        (&[2], &[0, 500])
-    } else {
-        (&[2, 4], &[0, 250, 500])
-    };
-    core_counts
-        .iter()
-        .flat_map(|&cores| {
-            fractions
-                .iter()
-                .map(move |&frac| (cores, frac, format!("share{frac}-{cores}c")))
+    [2, 4]
+        .into_iter()
+        .flat_map(|cores| {
+            [0, 250, 500]
+                .into_iter()
+                .map(move |frac| (cores, frac, format!("share{frac}-{cores}c")))
         })
         .collect()
 }

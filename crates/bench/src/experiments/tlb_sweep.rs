@@ -9,12 +9,10 @@
 //! loads it targets, while huge pages (512× the TLB reach, one fewer
 //! radix level) claw the win back.
 //!
-//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`, plus
-//! `--smoke` — a CI-scale mode (2 cores, shared STLB, tiny windows,
-//! reduced grid) exercising multicore translation sharing on every push.
+//! Flags: the usual `--quick` / `--full` / `--record` / `--jobs N`.
 
 use crate::{
-    cross, f3, smoke, speedup_table, speedups, Experiment, Point, Results, RunLite, Scale, Table,
+    cross, f3, speedup_table, speedups, Experiment, Point, Results, RunLite, Scale, Table,
 };
 use hermes::{HermesConfig, PredictorKind};
 use hermes_sim::SystemConfig;
@@ -30,35 +28,18 @@ pub const EXPERIMENT: Experiment = Experiment {
     render,
 };
 
-/// The TLB-stressing suite, at the smoke mode's tiny windows if asked.
+/// The TLB-stressing suite.
 fn scale(scale: &Scale) -> Scale {
-    let scale = Scale {
+    Scale {
         suite: suite::tlb_suite(),
         ..scale.clone()
-    };
-    if !smoke() {
-        return scale;
-    }
-    Scale {
-        warmup: 2_000,
-        instr: 6_000,
-        ..scale
-    }
-}
-
-/// Cores per system: two in the smoke mode, else one.
-fn cores() -> usize {
-    if smoke() {
-        2
-    } else {
-        1
     }
 }
 
 /// The translation configurations in table order: (tag, dtlb label,
 /// page label, vm config); `None` = free translation.
 fn translations() -> Vec<(String, String, &'static str, Option<VmConfig>)> {
-    let dtlb_sizes: &[usize] = if smoke() { &[16, 64] } else { &[16, 64, 256] };
+    let dtlb_sizes: &[usize] = &[16, 64, 256];
     let page_cfgs: &[(u32, &str)] = &[(0, "4K"), (1000, "2M")];
 
     let mut grid: Vec<(String, String, &str, Option<VmConfig>)> =
@@ -67,10 +48,7 @@ fn translations() -> Vec<(String, String, &'static str, Option<VmConfig>)> {
         for &entries in dtlb_sizes {
             let vm = VmConfig::baseline()
                 .with_dtlb(TlbConfig::new(entries, 4, 0))
-                .with_huge_page_pm(pm)
-                // The smoke mode runs 2 cores: share the STLB so CI
-                // exercises the scaled shared structure too.
-                .with_shared_stlb(smoke());
+                .with_huge_page_pm(pm);
             grid.push((
                 format!("d{entries}-{pages}"),
                 entries.to_string(),
@@ -85,10 +63,7 @@ fn translations() -> Vec<(String, String, &'static str, Option<VmConfig>)> {
 fn points(scale: &Scale) -> Vec<Point> {
     let mut configs = Vec::new();
     for (tag, _, _, vm) in translations() {
-        let mut cfg = SystemConfig {
-            cores: cores(),
-            ..SystemConfig::baseline_1c()
-        };
+        let mut cfg = SystemConfig::baseline_1c();
         if let Some(vm) = vm {
             cfg = cfg.with_vm(vm);
         }
@@ -139,20 +114,18 @@ fn render(results: &Results, scale: &Scale) -> String {
     }
 
     format!(
-        "{}-core, {} TLB-stressing workloads, {}+{} instructions/core; \
-         STLB {} per core{}, 32-entry page-walk cache. `novm` is the \
+        "1-core, {} TLB-stressing workloads, {}+{} instructions/core; \
+         STLB {} per core, 32-entry page-walk cache. `novm` is the \
          historical free translation.\n\n{}\n\
          Per-category Hermes-O/POPET speedup by translation config:\n\n{}\n\
          Reading: translation pressure (small dTLB, 4 KB pages) adds \
          walk latency that gates Hermes's speculative issue, while 2 MB \
          pages recover most of the free-translation win (512x reach, one \
          fewer radix level per walk).",
-        cores(),
         scale.suite.len(),
         scale.warmup,
         scale.instr,
         VmConfig::baseline().stlb.entries,
-        if smoke() { " (shared)" } else { "" },
         t.to_markdown(),
         speedup_table(&speedup_rows),
     )

@@ -5,17 +5,17 @@
 //! [`experiments`] (`fig02` … `fig22`, `table3`, `table6`, and the
 //! sweeps), with a three-line binary of the same name in `src/bin/`;
 //! `run_all` runs all of them and regenerates `EXPERIMENTS.md`. All
-//! binaries accept:
+//! binaries accept these flags and no others (see [`Scale::from_args`]):
 //!
 //! * `--quick` — smaller instruction windows (CI-scale),
 //! * `--full`  — the extended suite with longer windows,
 //! * `--record` — also write each rendered section to
 //!   `target/experiments/<id>.md`,
-//! * `--jobs N` (or `HERMES_JOBS=N`) — simulation worker threads;
-//!   defaults to all host cores, `--jobs 1` reproduces the historical
-//!   serial behaviour byte-for-byte,
-//! * `--smoke` — the sweeps' CI-scale mode (tiny windows, reduced
-//!   grids; see [`smoke`]).
+//! * `--jobs N` — simulation worker threads; defaults to all host
+//!   cores, `--jobs 1` reproduces the historical serial behaviour
+//!   byte-for-byte.
+//!
+//! Each experiment's grid is a function of its [`Scale`] alone.
 //!
 //! # Execution flow
 //!
@@ -79,49 +79,22 @@ pub struct Scale {
     /// Number of traces used for expensive (multi-core / multi-point)
     /// sweeps.
     pub sweep_traces: usize,
-    /// Simulation worker threads (`--jobs` / `HERMES_JOBS`; defaults to
-    /// all host cores).
+    /// Simulation worker threads (`--jobs`; defaults to all host
+    /// cores).
     pub jobs: usize,
 }
 
 impl Scale {
     /// Parses `--quick` / `--full` / `--record` / `--jobs N` from
-    /// `std::env::args`.
+    /// `std::env::args`. Any other argument ends the process with exit
+    /// status 2 and a message naming it.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let quick = args.iter().any(|a| a == "--quick");
-        let full = args.iter().any(|a| a == "--full");
-        let record = args.iter().any(|a| a == "--record");
-        let jobs = hermes_exec::jobs_from_env(parse_jobs_flag(&args));
+        let args: Vec<String> = std::env::args().skip(1).collect();
         epoch(); // anchor process wall time for manifests
-        if full {
-            Scale {
-                warmup: 50_000,
-                instr: 250_000,
-                suite: suite::full_suite(),
-                record,
-                sweep_traces: 16,
-                jobs,
-            }
-        } else if quick {
-            Scale {
-                warmup: 10_000,
-                instr: 40_000,
-                suite: suite::default_suite(),
-                record,
-                sweep_traces: 6,
-                jobs,
-            }
-        } else {
-            Scale {
-                warmup: 20_000,
-                instr: 100_000,
-                suite: suite::default_suite(),
-                record,
-                sweep_traces: 8,
-                jobs,
-            }
-        }
+        parse_args(&args).unwrap_or_else(|arg| {
+            eprintln!("error: unknown argument {arg:?}; accepted flags: {FLAGS}");
+            std::process::exit(2)
+        })
     }
 
     /// A subsample of the suite for expensive sweeps, keeping category
@@ -147,40 +120,60 @@ impl Scale {
     }
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from raw args (`None` if absent).
+/// The flags [`Scale::from_args`] accepts, as its error message lists them.
+const FLAGS: &str = "--quick, --full, --record, --jobs N";
+
+/// The scale `args` (the program name left out) select; `Err` holds the
+/// first argument that is not one of [`FLAGS`].
 ///
-/// An unusable value (not a number, or zero) warns on stderr and is then
-/// ignored — falling through to `HERMES_JOBS` / all cores — rather than
-/// silently doing the opposite of a throttling request.
-fn parse_jobs_flag(args: &[String]) -> Option<usize> {
+/// An unusable `--jobs` value (not a number, or zero) warns on stderr
+/// and is then ignored — falling through to all host cores — rather
+/// than silently doing the opposite of a throttling request.
+fn parse_args(args: &[String]) -> Result<Scale, String> {
+    let (mut quick, mut full, mut record, mut jobs) = (false, false, false, None);
+    let parse_jobs = |raw: &str| match raw.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => {
+            eprintln!(
+                "warning: ignoring invalid --jobs value {raw:?} \
+                 (want an integer >= 1); using all cores"
+            );
+            None
+        }
+    };
     let mut it = args.iter();
-    let mut jobs = None;
     while let Some(a) = it.next() {
-        let raw = if a == "--jobs" {
-            Some(it.next().map(String::as_str).unwrap_or(""))
-        } else {
-            a.strip_prefix("--jobs=")
-        };
-        if let Some(raw) = raw {
-            jobs = match raw.parse::<usize>() {
-                Ok(n) if n >= 1 => Some(n),
-                _ => {
-                    eprintln!(
-                        "warning: ignoring invalid --jobs value {raw:?} \
-                         (want an integer >= 1); using HERMES_JOBS or all cores"
-                    );
-                    None
-                }
-            };
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--full" => full = true,
+            "--record" => record = true,
+            "--jobs" => jobs = parse_jobs(it.next().map_or("", String::as_str)),
+            _ => match a.strip_prefix("--jobs=") {
+                Some(raw) => jobs = parse_jobs(raw),
+                None => return Err(a.clone()),
+            },
         }
     }
-    jobs
-}
-
-/// Whether the command line asks for `--smoke`, the CI-scale mode of the
-/// sweeps (tiny windows, reduced grids); other experiments ignore it.
-pub fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke")
+    let jobs = jobs.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
+    let (warmup, instr, suite, sweep_traces) = if full {
+        (50_000, 250_000, suite::full_suite(), 16)
+    } else if quick {
+        (10_000, 40_000, suite::default_suite(), 6)
+    } else {
+        (20_000, 100_000, suite::default_suite(), 8)
+    };
+    Ok(Scale {
+        warmup,
+        instr,
+        suite,
+        record,
+        sweep_traces,
+        jobs,
+    })
 }
 
 /// Process start anchor for manifest wall times.
@@ -502,13 +495,34 @@ mod tests {
         assert_eq!(set.len(), tags.len());
     }
 
+    /// [`parse_args`] over `args`, the program name left out.
+    fn parse(args: &[&str]) -> Result<Scale, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn jobs_flag_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs_flag(&args(&["bin", "--jobs", "4"])), Some(4));
-        assert_eq!(parse_jobs_flag(&args(&["bin", "--jobs=7"])), Some(7));
-        assert_eq!(parse_jobs_flag(&args(&["bin", "--quick"])), None);
-        assert_eq!(parse_jobs_flag(&args(&["bin", "--jobs", "bogus"])), None);
+        let jobs = |args: &[&str]| parse(args).unwrap().jobs;
+        let all_cores = jobs(&[]);
+        assert!(all_cores >= 1);
+        assert_eq!(jobs(&["--jobs", "4"]), 4);
+        assert_eq!(jobs(&["--jobs=7"]), 7);
+        assert_eq!(jobs(&["--quick"]), all_cores);
+        assert_eq!(jobs(&["--jobs", "bogus"]), all_cores);
+        assert_eq!(jobs(&["--jobs", "0"]), all_cores);
+        let quick = parse(&["--quick", "--record", "--jobs", "2"]).unwrap();
+        assert_eq!((quick.instr, quick.record, quick.jobs), (40_000, true, 2));
+        assert_eq!(parse(&["--full"]).unwrap().instr, 250_000);
+        assert_eq!(parse(&[]).unwrap().instr, 100_000);
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        // The sweeps' deleted CI-scale flag.
+        let smoke = concat!("--", "smoke");
+        assert_eq!(parse(&[smoke]).unwrap_err(), smoke);
+        assert_eq!(parse(&["--quik", "--jobs", "2"]).unwrap_err(), "--quik");
+        assert_eq!(parse(&["--quick", "4"]).unwrap_err(), "4");
     }
 
     /// A tiny-window scale over the first two smoke traces.

@@ -19,7 +19,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::record::RunLite;
 use crate::Provenance;
@@ -57,6 +57,10 @@ use crate::Provenance;
 pub const CACHE_SCHEMA_VERSION: u32 = 9;
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Set by the first publish failure this process reports, so an
+/// unwritable root costs one warning, not one per point.
+static WARNED: AtomicBool = AtomicBool::new(false);
 
 /// On-disk cache of [`RunLite`] records under a versioned root.
 #[derive(Debug, Clone)]
@@ -107,8 +111,9 @@ impl ResultCache {
 
     /// Publishes an entry atomically (temp file + rename), so concurrent
     /// readers see either the old bytes, the new bytes, or no file. A
-    /// failure (an unwritable root, a full disk) leaves no entry and is
-    /// reported on stderr unless the cache is [`quiet`](Self::quiet).
+    /// failure (an unwritable root, a full disk) leaves no entry. The
+    /// process's first failure is reported on stderr unless the cache is
+    /// [`quiet`](Self::quiet); later ones are not.
     pub fn store(&self, key: &str, r: &RunLite) {
         let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
         let tmp = self
@@ -119,8 +124,12 @@ impl ResultCache {
         if let Err(e) = published {
             // A failed write can still leave a partial temp file behind.
             let _ = fs::remove_file(&tmp);
-            if self.verbose {
-                eprintln!("  cache: cannot publish {key}: {e}");
+            if self.verbose && !WARNED.swap(true, Ordering::Relaxed) {
+                eprintln!(
+                    "  cache: cannot publish results under {}: {e} \
+                     (results are still used; further failures are not reported)",
+                    self.root.display()
+                );
             }
         }
     }

@@ -25,7 +25,7 @@
 //! use hermes_sim::SystemConfig;
 //! use hermes_trace::suite;
 //!
-//! let engine = Engine::new(8); // or Engine::new(hermes_exec::jobs_from_env(None))
+//! let engine = Engine::new(8); // 8 worker threads
 //! let jobs: Vec<Job> = suite::default_suite()
 //!     .into_iter()
 //!     .map(|spec| Job::new("pythia", SystemConfig::baseline_1c(), spec, 10_000, 40_000))
@@ -245,25 +245,6 @@ impl Engine {
     }
 }
 
-/// Resolves the worker count: an explicit request (e.g. `--jobs N`) wins,
-/// then `HERMES_JOBS`, then all host cores. Zero / unparsable values fall
-/// through to the next source.
-pub fn jobs_from_env(explicit: Option<usize>) -> usize {
-    explicit
-        .filter(|&n| n >= 1)
-        .or_else(|| {
-            std::env::var("HERMES_JOBS")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .filter(|&n: &usize| n >= 1)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,12 +276,5 @@ mod tests {
         respec.seed = respec.seed.wrapping_add(1);
         let j3 = job("tag with/slash", SystemConfig::baseline_1c(), &respec);
         assert_ne!(j.key(), j3.key());
-    }
-
-    #[test]
-    fn jobs_from_env_prefers_explicit() {
-        assert_eq!(jobs_from_env(Some(3)), 3);
-        assert!(jobs_from_env(Some(0)) >= 1, "zero falls through to default");
-        assert!(jobs_from_env(None) >= 1);
     }
 }

@@ -82,8 +82,8 @@
 //! ## Address translation
 //!
 //! With `SystemConfig::vm` unset, translation is the historical free
-//! stateless hash ([`crate::translate`]) folded into the L1 access —
-//! bit-identical to the pre-vm simulator. With a
+//! stateless hash ([`hermes_vm::page_map::translate`]) folded into the
+//! L1 access — bit-identical to the pre-vm simulator. With a
 //! [`hermes_vm::VmConfig`], translation timing is real:
 //!
 //! * a **dTLB hit** is accessed in parallel with the L1 (§3.1 of the
@@ -186,10 +186,10 @@ use hermes_dram::{Completion, MemoryController, ReqKind};
 use hermes_prefetch::{self as pf, AccessCtx, PrefetchReq, Prefetcher};
 use hermes_probe::{IntervalInput, LatClass, Probe, ProbeReport};
 use hermes_types::{CoreId, Cycle, FastMap, FastSet, LineAddr, PhysAddr, VirtAddr};
+use hermes_vm::page_map::translate;
 use hermes_vm::{PageMap, Tlb, VmConfig, WalkCache};
 
 use crate::config::SystemConfig;
-use crate::translate::translate;
 
 /// Maximum prefetch candidates accepted per triggering access.
 const MAX_PF_PER_ACCESS: usize = 32;

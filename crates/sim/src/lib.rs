@@ -24,7 +24,6 @@ pub mod report;
 pub mod sched;
 pub mod stats;
 pub mod system;
-pub mod translate;
 
 pub use config::SystemConfig;
 pub use sched::SchedulerModel;

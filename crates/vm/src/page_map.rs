@@ -2,13 +2,13 @@
 //! 2 MB pages, and the physical locations of the page-table entries a
 //! radix walk traverses.
 //!
-//! Like the simulator's historical stateless translation, every mapping
-//! is a pure function of `(core, virtual address)` — no allocation state,
-//! full determinism, per-core disjoint physical footprints. 4 KB pages
-//! use *exactly* the historical formula (`hermes-sim`'s `translate`), so
-//! enabling the vm subsystem with 4 KB pages changes only *timing*, never
-//! data placement. 2 MB huge pages map their whole region contiguously
-//! from a 2 MB-aligned frame, preserving the offset within the huge page.
+//! Every mapping is a pure function of `(core, virtual address)` — no
+//! allocation state, full determinism, per-core disjoint physical
+//! footprints. 4 KB pages use [`translate`], the same formula the
+//! simulator's free translation (vm off) uses, so enabling the vm
+//! subsystem with 4 KB pages changes only *timing*, never data
+//! placement. 2 MB huge pages map their whole region contiguously from a
+//! 2 MB-aligned frame, preserving the offset within the huge page.
 //!
 //! The page table is the x86-64-style 4-level radix tree (9 bits per
 //! level): a 4 KB translation walks 4 PTEs, a 2 MB translation 3 (the
@@ -26,8 +26,8 @@ pub const HUGE_PAGE_SIZE: usize = 1 << HUGE_PAGE_BITS;
 /// Radix bits per page-table level.
 pub const PT_LEVEL_BITS: u32 = 9;
 
-/// Bits of physical frame number space, matching the historical stateless
-/// translation (2^36 frames = 256 TB).
+/// Bits of physical frame number space (2^36 frames = 256 TB: collisions
+/// across a run are negligible).
 const FRAME_BITS: u32 = 36;
 /// 4 KB frames per 2 MB huge page.
 const FRAMES_PER_HUGE: u64 = 1 << (HUGE_PAGE_BITS - PAGE_BITS);
@@ -48,14 +48,44 @@ fn core_salt(core: CoreId) -> u64 {
 
 /// The per-core salt applied to data-frame selection: zero (shared by
 /// every core) for addresses in the inter-core shared region, the
-/// historical per-core salt otherwise — mirroring `hermes-sim`'s
-/// stateless translation so vm on/off never changes data placement.
+/// per-core salt otherwise (no core uses salt 0).
 fn data_salt(core: CoreId, vaddr: VirtAddr) -> u64 {
     if vaddr.is_shared() {
         0
     } else {
         core_salt(core)
     }
+}
+
+/// Translates `vaddr` for `core` on a 4 KB page: each (core, virtual
+/// page) pair hashes to a physical frame, keeping the page offset.
+///
+/// This is the simulator's whole translation with the vm subsystem off
+/// (its latency folded into the L1 access, as the paper's TLB is accessed
+/// in parallel with the L1, §3.1) and [`PageMap::translate`]'s 4 KB
+/// case. Every core gets a private physical footprint, so homogeneous
+/// multi-core mixes contend in the shared LLC instead of aliasing onto
+/// the same lines, and DRAM bank/row placement is randomised the way a
+/// first-touch allocator's is. Addresses in the shared virtual region
+/// ([`hermes_types::SHARED_BASE`] and above) drop the per-core salt, so
+/// every core maps them to the *same* frame — how the sharing-aware
+/// workload generators build genuinely shared data.
+///
+/// # Example
+///
+/// ```
+/// use hermes_vm::page_map::translate;
+/// use hermes_types::VirtAddr;
+///
+/// let p1 = translate(0, VirtAddr::new(0x1234_5678));
+/// let p2 = translate(0, VirtAddr::new(0x1234_5678));
+/// assert_eq!(p1, p2);
+/// assert_ne!(p1, translate(1, VirtAddr::new(0x1234_5678)));
+/// ```
+#[inline]
+pub fn translate(core: CoreId, vaddr: VirtAddr) -> PhysAddr {
+    let pfn = mix64(vaddr.page_number() ^ data_salt(core, vaddr)) & ((1 << FRAME_BITS) - 1);
+    PhysAddr::from_frame(pfn, vaddr.offset_in_page())
 }
 
 /// See [module docs](self).
@@ -100,9 +130,7 @@ impl PageMap {
             let offset = vaddr.raw() & (HUGE_PAGE_SIZE as u64 - 1);
             (PhysAddr::new((base << PAGE_BITS) | offset), true)
         } else {
-            // Bit-identical to the historical stateless translation.
-            let pfn = mix64(vaddr.page_number() ^ data_salt(core, vaddr)) & ((1 << FRAME_BITS) - 1);
-            (PhysAddr::from_frame(pfn, vaddr.offset_in_page()), false)
+            (translate(core, vaddr), false)
         }
     }
 
@@ -169,6 +197,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn page_offset_preserved() {
+        let v = VirtAddr::new(0xABCD_E123);
+        let p = translate(0, v);
+        assert_eq!(p.offset_in_page(), v.offset_in_page());
+        assert_eq!(p.byte_offset_in_line(), v.byte_offset_in_line());
+    }
+
+    #[test]
+    fn same_page_same_frame() {
+        let a = translate(2, VirtAddr::new(0x5000_0000));
+        let b = translate(2, VirtAddr::new(0x5000_0FFF));
+        assert_eq!(a.page_number(), b.page_number());
+    }
+
+    #[test]
+    fn different_pages_differ() {
+        let a = translate(0, VirtAddr::new(0x5000_0000));
+        let b = translate(0, VirtAddr::new(0x5000_1000));
+        assert_ne!(a.page_number(), b.page_number());
+    }
+
+    #[test]
+    fn shared_region_maps_identically_for_all_cores() {
+        let v = VirtAddr::new(hermes_types::SHARED_BASE + 0x1234_5678);
+        let frames: std::collections::HashSet<u64> =
+            (0..8).map(|c| translate(c, v).page_number()).collect();
+        assert_eq!(frames.len(), 1, "shared pages must alias across cores");
+        assert_eq!(translate(0, v).offset_in_page(), v.offset_in_page());
+    }
+
+    #[test]
     fn base_pages_match_historical_translation() {
         // The 4 KB formula must be bit-identical to hermes-sim's
         // stateless translate (same mix64, same salt, same frame mask).
@@ -221,6 +280,10 @@ mod tests {
 
     #[test]
     fn cores_have_disjoint_mappings() {
+        let v = VirtAddr::new(0x7000_0000);
+        let frames: std::collections::HashSet<u64> =
+            (0..8).map(|c| translate(c, v).page_number()).collect();
+        assert_eq!(frames.len(), 8, "free translation");
         for pm in [0, 1000] {
             let map = PageMap::new(pm);
             let v = VirtAddr::new(0x7000_0000);

@@ -16,10 +16,10 @@ use hermes_repro::hermes_cache::{CacheConfig, CoherenceConfig, Mesi, Replacement
 use hermes_repro::hermes_cpu::{LoadIssue, MemoryPort, StoreIssue};
 use hermes_repro::hermes_prefetch::PrefetcherKind;
 use hermes_repro::hermes_sim::hierarchy::Hierarchy;
-use hermes_repro::hermes_sim::translate::translate;
 use hermes_repro::hermes_sim::{System, SystemConfig};
 use hermes_repro::hermes_trace::suite;
 use hermes_repro::hermes_types::{Cycle, LineAddr, VirtAddr, SHARED_BASE};
+use hermes_repro::hermes_vm::page_map::translate;
 
 /// Ticks the hierarchy until it is fully quiescent (no events, retries,
 /// DRAM reads, walks, or outstanding MSHRs); returns the quiescent cycle.

@@ -22,7 +22,7 @@ use hermes_repro::hermes_sim::SystemConfig;
 use hermes_repro::hermes_trace::{suite, WorkloadSpec};
 use hermes_repro::hermes_vm::{TlbConfig, VmConfig};
 
-use super::{fnv1a, run, spill_reload};
+use super::{fnv1a, four_level, run, spill_reload, two_level};
 
 /// (config, workloads, cores, warmup, sim, digest). `config` is a base
 /// configuration, optionally `+popet` or `+ideal` for Hermes-O with that
@@ -37,6 +37,12 @@ pub const GOLDEN: &[Row] = &[
     ("vm-tiny-tlbs", &["smoke-pagerank"], 1, 2_000, 8_000, 0xe47662c2c8b50337),
     ("vm-shared-stlb+popet", &["smoke-chase", "smoke-stream"], 2, 2_000, 6_000, 0xd3f88555309c12f6),
     ("mesi+popet", &["pc-ring", "shared-hot-500"], 4, 2_000, 6_000, 0xa990cff7eea3339b),
+    // The 2- and 4-level topologies on two cores, and the DRAM's
+    // dedicated write queue (920 writes, 34 full-queue stalls; the plain
+    // `pythia` row of the same mix shares the read queue).
+    ("hier2+popet", &["smoke-chase", "smoke-stream"], 2, 2_000, 6_000, 0x1356c7cfb5c53cde),
+    ("hier4+popet", &["smoke-chase", "smoke-stream"], 2, 2_000, 6_000, 0x10652d9c78d2d359),
+    ("pythia-wq", &["smoke-chase", "smoke-stream"], 2, 3_000, 10_000, 0xf41adc5162b6e764),
     // The default three-level hierarchy on one and two cores.
     ("pythia", &["smoke-chase"], 1, 5_000, 20_000, 0xcb320d62b5244c12),
     ("pythia", &["smoke-stream"], 1, 5_000, 20_000, 0x7781785d115d71ee),
@@ -154,6 +160,14 @@ fn config(tag: &str) -> SystemConfig {
     let cfg = match base {
         "nopf" => pythia.with_prefetcher(PrefetcherKind::None),
         "pythia" => pythia,
+        // Writebacks get their own 8-slot queue instead of read-queue
+        // slots.
+        "pythia-wq" => SystemConfig {
+            dram: pythia.dram.clone().with_write_queue(8),
+            ..pythia
+        },
+        "hier2" => two_level(),
+        "hier4" => four_level(),
         // An 8-entry dTLB and a 32-entry STLB on 4 KB pages: walker
         // reads park in the retry queue beside demand loads and stores.
         "vm-tiny-tlbs" => pythia.with_vm(

@@ -11,7 +11,7 @@ pub mod golden;
 use std::fmt::Write;
 
 use hermes_repro::hermes::PredictorStats;
-use hermes_repro::hermes_cache::LevelStats;
+use hermes_repro::hermes_cache::{CacheConfig, LevelStats, ReplacementKind};
 use hermes_repro::hermes_cpu::CoreStats;
 use hermes_repro::hermes_dram::controller::DramStats;
 use hermes_repro::hermes_sim::hierarchy::CoreHierStats;
@@ -160,4 +160,23 @@ pub fn spill_reload() -> WorkloadSpec {
         GenConfig::WriteReload { slots: 64, work: 2 },
         11,
     )
+}
+
+/// A small 2-level topology: private L1 straight to a shared LLC.
+pub fn two_level() -> SystemConfig {
+    SystemConfig::baseline_1c().with_levels(vec![
+        CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16).with_latency(5),
+        CacheConfig::new("LLC", 2 << 20, 16, ReplacementKind::Ship, 64).with_latency(35),
+    ])
+}
+
+/// A 4-level topology: L1/L2, a private L3, and a shared LLC.
+pub fn four_level() -> SystemConfig {
+    let base = SystemConfig::baseline_1c();
+    SystemConfig::baseline_1c().with_levels(vec![
+        base.levels[0].clone(),
+        base.levels[1].clone(),
+        CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
+        base.levels[2].clone(),
+    ])
 }

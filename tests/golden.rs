@@ -44,7 +44,7 @@ fn named_selectors_split_the_table() {
     assert_eq!(counts, expected);
     let rest = GOLDEN.iter().filter(|r| !named(r)).count();
     assert_eq!(counts.iter().sum::<usize>() + rest, GOLDEN.len());
-    assert_eq!(GOLDEN.len(), 102);
+    assert_eq!(GOLDEN.len(), 105);
 }
 
 /// The paper rows cover every `default_suite` trace under each of the

@@ -9,30 +9,10 @@
 
 mod common;
 
-use common::golden;
+use common::{four_level, golden, two_level};
 use hermes_repro::hermes::{HermesConfig, PredictorKind};
-use hermes_repro::hermes_cache::{CacheConfig, ReplacementKind};
 use hermes_repro::hermes_sim::{system::run_one, SystemConfig};
 use hermes_repro::hermes_trace::suite;
-
-/// A small 2-level topology: private L1 straight to a shared LLC.
-fn two_level() -> SystemConfig {
-    SystemConfig::baseline_1c().with_levels(vec![
-        CacheConfig::new("L1D", 48 * 1024, 12, ReplacementKind::Lru, 16).with_latency(5),
-        CacheConfig::new("LLC", 2 << 20, 16, ReplacementKind::Ship, 64).with_latency(35),
-    ])
-}
-
-/// A 4-level topology: L1/L2, a private L3, and a shared LLC.
-fn four_level() -> SystemConfig {
-    let base = SystemConfig::baseline_1c();
-    SystemConfig::baseline_1c().with_levels(vec![
-        base.levels[0].clone(),
-        base.levels[1].clone(),
-        CacheConfig::new("L3", 2 << 20, 16, ReplacementKind::Lru, 48).with_latency(15),
-        base.levels[2].clone(),
-    ])
-}
 
 /// The default three-level hierarchy, Pythia with and without Hermes-O
 /// (POPET), on each smoke trace at warmup 5 000 / measure 20 000.

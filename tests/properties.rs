@@ -126,7 +126,7 @@ proptest! {
         core in 0usize..8,
         pm_sel in 0usize..3,
     ) {
-        use hermes_repro::hermes_sim::translate::translate;
+        use hermes_repro::hermes_vm::page_map::translate;
         let huge_pm = [0u32, 500, 1000][pm_sel];
         let v = VirtAddr::new(raw);
         let map = PageMap::new(huge_pm);
